@@ -10,6 +10,17 @@ word -> Fraction.  A MomentSpec maps a letter i to its multiplicity m_i and
 describes the functional  prod_i x_i(alpha)^(m_i)  with x_k(alpha) the k-th
 power path integral of alpha.
 
+Word integrals and moments come from one exact left-to-right Wick dynamic
+program (``_wick_program``): points are placed in increasing order, the state
+is (letters still to place, covariance legs left open) and its value is an
+integer polynomial in the current point, so the cost is polynomial in the
+word length instead of exponential in the Wick configurations.  For a word
+the next letter is forced (``monomial_simplex_integral``); for a moment spec
+any remaining letter may come next (``moment_product``).  The independent
+oracle route enumerates the Wick configurations as a polynomial in the
+simplex variables (``monomial_bridge_polynomial``) and integrates it term by
+term (``simplex_integrate``); ``mc_estimate`` is the Monte Carlo oracle.
+
 Memo caches (word integrals, moment products) are append-only with
 deterministic values, so concurrent readers are safe; MC paths are seeded per
 chunk by counter, making results independent of how chunks are distributed
@@ -20,7 +31,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial, lcm
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -316,54 +328,92 @@ def monomial_bridge_polynomial(I: Sequence[int]) -> VPoly:
     return out * prefactor
 
 
+@lru_cache(maxsize=None)
+def _placement_kernels(i: int, open_legs: int) -> tuple:
+    """Wick placements of a point with i legs while ``open_legs`` legs wait.
+
+    The i legs split into d self-pairs, c legs closing waiting legs and o
+    legs opening new ones (2d + c + o = i).  A self-pair contributes
+    u(1-u), a closing leg (1-u) and an opening leg u, where u is the point;
+    the waiting legs carried their earlier point's factor already.  The
+    count of such placements is i!/(2^d d! c! o!) * open!/(open-c)!.
+
+    Returns (new_open, low, coeffs): the placements with the same number of
+    legs left open, summed into the integer polynomial
+    u^low * sum_k coeffs[k] u^k.
+    """
+    by_open: dict[int, dict[int, int]] = {}
+    for d in range(i // 2 + 1):
+        for c in range(min(i - 2 * d, open_legs) + 1):
+            o = i - 2 * d - c
+            count = factorial(i) // (2**d * factorial(d) * factorial(c) * factorial(o))
+            count *= factorial(open_legs) // factorial(open_legs - c)
+            poly = by_open.setdefault(open_legs - c + o, {})
+            for k in range(d + c + 1):  # u^(d+o) (1-u)^(d+c)
+                poly[d + o + k] = poly.get(d + o + k, 0) + (-1) ** k * comb(d + c, k) * count
+    out = []
+    for new_open, poly in sorted(by_open.items()):
+        low = min(poly)
+        out.append((new_open, low, tuple(poly.get(k, 0) for k in range(low, max(poly) + 1))))
+    return tuple(out)
+
+
+def _wick_program(rest0, legs0: int, n_points: int, moves) -> Fraction:
+    """Left-to-right Wick dynamic program for a bridge moment on [0,1].
+
+    Points are placed in increasing order.  A state is (letters still to
+    place, their total leg count, legs left open); its value is a polynomial
+    in the current point u: the integral, over all earlier points below u,
+    of the covariance factors fixed so far.  ``moves(rest)`` yields the
+    (letter, rest') that may be placed next.  Each placement multiplies by a
+    kernel of ``_placement_kernels`` and integrates from 0 to u; states with
+    more open legs than legs still to place are dropped.  Coefficients are
+    integers over the common denominator L^step with L = lcm(1..degree+1),
+    so the loop does integer arithmetic only.  The value at u = 1 of the
+    final state (nothing left, nothing open) is the moment.
+    """
+    # every polynomial has degree legs0 + n_points at most
+    width = legs0 + n_points + 1
+    L = lcm(*range(1, width))
+    inv = [0] + [L // k for k in range(1, width)]
+    level = {(rest0, legs0, 0): [1] + [0] * (width - 1)}
+    for _ in range(n_points):
+        nxt: dict = {}
+        for (rest, legs, open_legs), poly in level.items():
+            for letter, rest2 in moves(rest):
+                legs2 = legs - letter
+                for new_open, low, kern in _placement_kernels(letter, open_legs):
+                    if new_open > legs2:
+                        break
+                    acc = nxt.setdefault((rest2, legs2, new_open), [0] * width)
+                    # multiply by u^low * kern, then integrate from 0 to u
+                    for a, pa in enumerate(poly):
+                        if pa:
+                            for b, kb in enumerate(kern, start=a + low + 1):
+                                acc[b] += pa * kb * inv[b]
+        level = nxt
+    # every surviving state has nothing left to place and nothing open
+    return Fraction(sum(sum(poly) for poly in level.values()), L**n_points)
+
+
+def _word_moves(rest):
+    yield rest[0], rest[1:]
+
+
 def monomial_simplex_integral(I: Sequence[int]) -> Fraction:
     """Exact simplex integral of the bridge moment with exponents I.
 
-    Direct combinatorial formula: binomially expand (1-v_m)^(K_m) and apply
-    the simplex monomial integral to each product of powers; must agree with
-    simplex_integrate(monomial_bridge_polynomial(I)).
+    The integral over v_1 <= ... <= v_n of E[alpha(v_1)^i1 ... alpha(v_n)^in],
+    by the left-to-right Wick program with the next letter forced.  The
+    independent oracle is simplex_integrate(monomial_bridge_polynomial(I)),
+    which enumerates the Wick configurations explicitly.
     """
     I = tuple(int(i) for i in I)
-    total_deg = sum(I)
-    if total_deg % 2 == 1:
+    if any(i < 0 for i in I):
+        raise ValueError("exponents must be non-negative")
+    if sum(I) % 2 == 1:
         return Fraction(0)
-    n = len(I)
-    if total_deg == 0:
-        return Fraction(1, factorial(n)) if n else Fraction(1)
-    half = total_deg // 2
-    prefactor = Fraction(1)
-    for i in I:
-        prefactor *= factorial(i)
-    prefactor *= Fraction(1, 2**half)
-    total = Fraction(0)
-    for weight, diag, off in _symmetric_moment_configs(I):
-        K = [0] * n
-        for j, d in enumerate(diag):
-            K[j] += d
-        for (j, m), s in off.items():
-            K[m] += s
-        # r-sums: expanding (1-v_p)^(K_p) gives powers v_p^(i_p - r_p) with
-        # sign (-1)^(K_p - r_p), then the simplex monomial formula applies
-        # with the running sums p + sum_{l<=p} (i_l - r_l).
-        acc = Fraction(0)
-        for rvec in itertools.product(*(range(Kp + 1) for Kp in K)):
-            num = 1
-            for Kp, rp in zip(K, rvec):
-                num *= (-1) ** (Kp - rp) * _binom_int(Kp, rp)
-            den = 1
-            run = 0
-            for p in range(n):
-                run += I[p] - rvec[p]
-                den *= run + p + 1
-            acc += Fraction(num, den)
-        total += weight * acc
-    return prefactor * total
-
-
-def _binom_int(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
+    return _wick_program(I, sum(I), len(I), _word_moves)
 
 
 # ----------------------------------------------------------------------
@@ -443,8 +493,12 @@ _moment_cache: dict[tuple[tuple[int, int], ...], Fraction] = {}
 def moment_product(spec: MomentSpec) -> Fraction:
     """Exact bridge moment of prod_i x_i(alpha)^(m_i).
 
-    Computed as m_1!...m_r! times the word integral of the shuffle product of
+    Equal to m_1!...m_r! times the word integral of the shuffle product of
     the blocks (i,...,i) repeated m_i times; zero when sum i*m_i is odd.
+    The shuffle sum is never expanded: the left-to-right Wick program lets
+    any remaining letter come next, which sums over the distinct
+    arrangements at once.  ``shuffle_multi`` + ``word_integral`` is the
+    word-by-word route to the same value.
     """
     key = _normalize_spec(spec)
     cached = _moment_cache.get(key)
@@ -454,10 +508,16 @@ def moment_product(spec: MomentSpec) -> Fraction:
     if degree % 2 == 1:
         value = Fraction(0)
     else:
-        blocks = [(i,) * m for i, m in key]
-        combo = shuffle_multi(blocks)
-        value = word_integral(combo)
-        for _, m in key:
+        letters = tuple(i for i, _ in key)
+
+        def moves(rest):
+            for j, m in enumerate(rest):
+                if m:
+                    yield letters[j], rest[:j] + (m - 1,) + rest[j + 1 :]
+
+        counts = tuple(m for _, m in key)
+        value = _wick_program(counts, degree, sum(counts), moves)
+        for m in counts:
             value *= factorial(m)
     _moment_cache[key] = value
     return value

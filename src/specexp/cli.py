@@ -451,6 +451,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             checks = _suite_bridge(cfg.seed, cfg.fast, cfg.mc_paths, cfg.mc_grid)
         else:
             checks = _SUITES[name](cfg.seed, cfg.fast)
+        for c in checks:
+            # suites may report numpy booleans, which json cannot encode
+            c["pass"] = bool(c["pass"])
         ok = all(c["pass"] for c in checks)
         all_ok = all_ok and ok
         report["suites"][name] = {"pass": ok, "checks": checks}

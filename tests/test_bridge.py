@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from specexp import bridge
+from specexp import expansion as ex
 
 
 class TestSimplexIntegrals:
@@ -190,6 +192,36 @@ class TestMomentProduct:
             bridge.moment_product({0: 2})
         with pytest.raises(ValueError):
             bridge.moment_product({2: 0})
+
+
+def _a2m_moment_specs(max_m):
+    """Distinct letter multisets that a2M(0..max_m) integrates."""
+    cells = [(ex.R_MAIN, 0, 0)]
+    for M in range(1, max_m + 1):
+        cells += [(ex.R_MAIN, 0, 2 * M), (ex.R_PLUS, 2, 2 * M - 2), (ex.R_MINUS, 0, 2 * M - 2)]
+    specs = set()
+    for r, m, order in cells:
+        for term in ex.crm_direct(r, m, order):
+            if term.letters:
+                specs.add(tuple(sorted(Counter(term.letters).items())))
+    return sorted(specs)
+
+
+class TestWickProgram:
+    def test_multiset_program_matches_word_program_on_a10_specs(self):
+        # moment_product lets any letter come next; the word route forces the
+        # order and sums over the shuffle product of the blocks instead
+        specs = _a2m_moment_specs(5)
+        assert len(specs) > 40
+        for spec in specs:
+            combo = bridge.shuffle_multi([(i,) * m for i, m in spec])
+            total = sum(
+                (c * bridge.monomial_simplex_integral(w) for w, c in combo.items()),
+                Fraction(0),
+            )
+            for _, m in spec:
+                total *= math.factorial(m)
+            assert bridge.moment_product(dict(spec)) == total, spec
 
 
 class TestX1EvenMoment:

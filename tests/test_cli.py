@@ -34,6 +34,12 @@ class TestCoeff:
             code, out, _ = run(capsys, "coeff", "--order", order, "--check-golden")
             assert code == 0 and "matches" in out
 
+    def test_check_golden_a10(self, capsys):
+        code, out, _ = run(
+            capsys, "coeff", "--order", "5", "--max-order", "5", "--check-golden"
+        )
+        assert code == 0 and "order 10: matches" in out
+
     def test_check_golden_mismatch_exit_code(self, capsys, monkeypatch):
         tampered = {
             "2": {
@@ -161,6 +167,17 @@ class TestVerify:
         assert code == 0
         rep = json.loads(out)
         assert rep["pass"] is True
+
+    def test_dawson_suite_json(self, capsys):
+        # the Dawson suite's quadrature checks return numpy booleans
+        code, out, _ = run(
+            capsys, "verify", "--suite", "dawson", "--fast", "--format", "json"
+        )
+        rep = json.loads(out)
+        assert rep["pass"] in (True, False)
+        assert code == (cli.EXIT_OK if rep["pass"] else cli.EXIT_VERIFY)
+        checks = rep["suites"]["dawson"]["checks"]
+        assert checks and all(c["pass"] in (True, False) for c in checks)
 
 
 class TestConfig:

@@ -58,6 +58,14 @@ class TestCrmBell:
                 assert lhs == rhs, (r, m, order)
 
 
+    def test_route_equality_at_orders_8_and_10(self):
+        for r, m in PAIRS:
+            for order in (8, 10):
+                lhs = ex.integrate_bridge(ex.crm_direct(r, m, order))
+                rhs = ex.integrate_bridge(ex.crm_bell(r, m, order))
+                assert lhs == rhs, (r, m, order)
+
+
 class TestIntegrateBridge:
     def test_empty_multiset_passthrough(self):
         term = ex.MomentTerm(sc.ExactScalar(Fraction(3, 7)), sc.DerivMonomial(-1), ())

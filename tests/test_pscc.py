@@ -7,6 +7,7 @@ import scipy.integrate as si
 
 from specexp import expansion as ex
 from specexp import pscc
+from specexp import symcore as sc
 from specexp import zeta as zt
 from specexp.specfun import gamma_complex
 
@@ -36,6 +37,18 @@ class TestS4Coefficients:
                 limit=200,
             )
             assert abs(val - float(pscc.s4_heat_coefficient(M))) < 1e-5, M
+
+
+    def test_round_sphere_pointwise(self):
+        # for a(t) = sin t the RW metric is the round S^4, and each pointwise
+        # coefficient is a_2M(t) = 3/4 * s4_heat_coefficient(M) * sin^3 t
+        factor = ex.scale_factor("sphere")
+        for M in range(0, 6):
+            aform = sc.to_a_form(ex.a2M(M))
+            for t in (0.7, 1.3, math.pi / 2, 2.4):
+                got = aform.eval(lambda i, t=t: factor.deriv(i, t))
+                want = 0.75 * float(pscc.s4_heat_coefficient(M)) * math.sin(t) ** 3
+                assert abs(got - want) <= 1e-10 * abs(want), (M, t)
 
 
 class TestRoundHeatExpansion:
