@@ -229,14 +229,14 @@ def heat_mellin_model(coeffs: Sequence[tuple[int, float]], sigma: complex) -> co
     return total
 
 
-def _heat_mellin(geometry: Geometry, sigma: complex, max_m: int) -> complex:
-    """tilde f(sigma) = Mellin transform of the single-geometry heat trace."""
+def _heat_mellin(geometry: Geometry, sigma: complex, bulk: Sequence) -> complex:
+    """tilde f(sigma) = Mellin transform of the single-geometry heat trace.
+
+    ``bulk`` holds the geometry's coefficients c_2M for M = 0..maxM.
+    """
     if isinstance(geometry, S4Geometry):
         return gamma_complex(sigma / 2.0) / 2.0 * zeta_mod.dirac_zeta_s4(sigma)
-    coeffs = [
-        (2 * M - 4, _bulk_coefficient(geometry, M)) for M in range(0, max_m + 1)
-    ]
-    return heat_mellin_model(coeffs, sigma)
+    return heat_mellin_model([(2 * M - 4, c) for M, c in enumerate(bulk)], sigma)
 
 
 def round_heat_expansion(
@@ -257,10 +257,10 @@ def round_heat_expansion(
     strip = pole_strip if pole_strip is not None else _default_strip(max_m)
     poles = string_poles(string, strip)
     _check_collisions(poles, max_m)
+    bulk = [_bulk_coefficient(geometry, M) for M in range(0, max_m + 1)]
     terms: list[ExpansionTerm] = []
-    for M in range(0, max_m + 1):
+    for M, c2m in enumerate(bulk):
         zval = _string_zeta_value(string, 4 - 2 * M)
-        c2m = _bulk_coefficient(geometry, M)
         terms.append(
             ExpansionTerm(
                 exponent=Fraction(2 * M - 4),
@@ -271,7 +271,7 @@ def round_heat_expansion(
         )
     for p in poles:
         sigma = complex(p.sigma)
-        weight = _heat_mellin(geometry, sigma, max_m)
+        weight = _heat_mellin(geometry, sigma, bulk)
         terms.append(
             ExpansionTerm(
                 exponent=-sigma,
@@ -340,12 +340,12 @@ def spectral_action(
     strip = pole_strip if pole_strip is not None else _default_strip(max_m)
     poles = string_poles(string, strip)
     _check_collisions(poles, max_m)
+    bulk = [_bulk_coefficient(geometry, M) for M in range(0, max_m + 1)]
     terms: list[ExpansionTerm] = []
-    for M in range(0, max_m + 1):
+    for M, c2m in enumerate(bulk):
         alpha = 4 - 2 * M
         f_alpha = moments.f0 if alpha == 0 else moments.moment(alpha)
         zval = _string_zeta_value(string, alpha)
-        c2m = _bulk_coefficient(geometry, M)
         coeff = _coeff_mul(_coeff_mul(zval, c2m), f_alpha)
         terms.append(
             ExpansionTerm(
@@ -358,7 +358,7 @@ def spectral_action(
     pole_rows = []
     for p in poles:
         sigma = complex(p.sigma)
-        weight = _heat_mellin(geometry, sigma, max_m)
+        weight = _heat_mellin(geometry, sigma, bulk)
         f_sigma = moments.moment(sigma)
         pole_rows.append((sigma, weight * f_sigma * p.residue))
     for sigma, c, log_periodic in _merge_conjugate_poles(pole_rows):

@@ -161,6 +161,23 @@ class TestPackingTemplate:
         assert rows["Lambda^4"] == zt.ExactToken(Fraction(4725, 16), pi_pow=-8, zeta_num=(7,))
         assert rows[complex(1, 0)] == zt.ExactToken(Fraction(1, 2), pi_pow=-2)
 
+    def test_real_pole_residues_exact(self):
+        # deep strips used to overflow the numeric zeta'(-2k) to NaN
+        poles = zt.string_poles(zt.FordString(), ((-200, 6), (-1, 1)))
+        assert [p.sigma for p in poles] == [complex(-k, 0) for k in range(200, 0, -1)] + [1]
+        for p in poles:
+            assert math.isfinite(p.residue) and p.residue == float(p.exact), p.sigma
+        # rows at -1..-8, against the numeric route 2^k zeta(-2k-1)/(2 zeta'(-2k))
+        # with a central-difference zeta'; odd k sit on trivial zeros of zeta_D
+        numeric = {-2: 0.008152467515784325, -4: -0.03952348001229951,
+                   -6: 0.32993880841526274, -8: -4.213781488646809}
+        rows = {t.provenance: t.coeff for t in pscc.s4_packing_action_terms(zt.FordString())}
+        for k in range(1, 9):
+            coeff = rows[complex(-k, 0)]
+            assert isinstance(coeff, zt.ExactToken)
+            want = numeric.get(-k, 0.0)
+            assert abs(float(coeff) - want) <= 1e-12 * abs(want), k
+
 
 class TestLeadingConstantReconciliation:
     def test_matching_rows(self):

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -60,11 +61,20 @@ class TestRiemannZeta:
         with pytest.raises(zt.PoleError):
             zt.riemann_zeta(1.0)
 
-    def test_configurable_depth(self):
-        # deeper settings agree with the auto-selected ones
-        auto = zt.riemann_zeta(3.5 + 9j)
-        deep = zt.riemann_zeta(3.5 + 9j, terms=80, corrections=30)
-        assert abs(auto - deep) < 1e-13 * abs(auto)
+    def test_functional_equation(self):
+        # zeta(s) = chi(s) zeta(1-s) on the strip grid above; chi comes from
+        # elementary functions and Gamma, so this does not compare the
+        # mpmath zeta with itself
+        with mp.workdps(30):
+            rng = np.random.default_rng(0)
+            for _ in range(25):
+                s = complex(rng.uniform(-20, 40), rng.uniform(-50, 50))
+                if abs(s - 1) < 0.1:
+                    continue
+                m = mp.mpc(s)
+                chi = mp.power(2, m) * mp.power(mp.pi, m - 1) * mp.sin(mp.pi * m / 2) * mp.gamma(1 - m)
+                want = complex(chi) * zt.riemann_zeta(1 - s)
+                assert abs(zt.riemann_zeta(s) - want) <= 1e-12 * abs(want), s
 
     def test_exact_negative_integers(self):
         assert zt.zeta_exact(-1).rat == Fraction(-1, 12)
@@ -246,6 +256,32 @@ class TestPoleTables:
         poles = zt.string_poles(zt.FordString(), ((0.2, 0.3), (7.0, 7.1)))
         assert len(poles) == 1
         assert abs(poles[0].sigma - complex(0.25, g1 / 2)) < 1e-9
+
+    def test_nontrivial_zero_residues_by_limit(self):
+        # (s - sigma) ford_zeta(s) at s = sigma + eps, Richardson-extrapolated
+        # over eps = 1e-4 and 5e-5 to cancel the O(eps) term
+        poles = zt.string_poles(zt.FordString(), ((0.2, 0.3), (0.0, 13.0)))
+        assert len(poles) == 3
+        for p in poles:
+            g = [eps * zt.ford_zeta(p.sigma + eps) for eps in (1e-4, 5e-5)]
+            limit = 2 * g[1] - g[0]
+            assert abs(p.residue - limit) < 1e-7 * abs(limit), p.sigma
+
+    def test_corrupted_ordinate_fails_bracket(self, monkeypatch):
+        good = zt.zero_ordinates()
+        bad = "\n".join(repr(g + 0.2 if i == 0 else g) for i, g in enumerate(good))
+
+        class Data:
+            def joinpath(self, name):
+                return self
+
+            def read_text(self):
+                return bad
+
+        monkeypatch.setattr(zt, "_ZERO_CACHE", None)
+        monkeypatch.setattr(zt, "resources", SimpleNamespace(files=lambda pkg: Data()))
+        with pytest.raises(RuntimeError, match="failed sign bracketing"):
+            zt.zero_ordinates()
 
 
 class TestDiracZeta:
