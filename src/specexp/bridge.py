@@ -37,6 +37,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .symcore import SparsePoly
+
 __all__ = [
     "VPoly",
     "simplex_monomial_integral",
@@ -61,88 +63,26 @@ MomentSpec = Mapping[int, int]
 # polynomials in the simplex variables v_1..v_n
 # ----------------------------------------------------------------------
 
-class VPoly:
+class VPoly(SparsePoly):
     """Sparse polynomial over Q in v_1, ..., v_n (exponent-tuple keyed)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        clean: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                key = _trim(tuple(mono))
-                acc = clean.get(key, Fraction(0)) + c
-                if acc == 0:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = acc
-        self.terms = clean
+    __slots__ = ()
 
     @staticmethod
-    def zero() -> "VPoly":
-        return VPoly()
+    def _key(mono) -> tuple[int, ...]:
+        mono = tuple(mono)
+        while mono and mono[-1] == 0:
+            mono = mono[:-1]
+        return mono
 
     @staticmethod
-    def one() -> "VPoly":
-        return VPoly({(): Fraction(1)})
+    def _mono_mul(m1: tuple[int, ...], m2: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(a + b for a, b in itertools.zip_longest(m1, m2, fillvalue=0))
 
     @staticmethod
     def var(i: int) -> "VPoly":
         """The variable v_i (1-based)."""
-        return VPoly({(0,) * (i - 1) + (1,): Fraction(1)})
-
-    def __add__(self, other: "VPoly") -> "VPoly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = out.get(mono, Fraction(0)) + c
-            if acc == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
-        p = VPoly.__new__(VPoly)
-        p.terms = out
-        return p
-
-    def __neg__(self) -> "VPoly":
-        p = VPoly.__new__(VPoly)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other: "VPoly") -> "VPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return VPoly.zero()
-            p = VPoly.__new__(VPoly)
-            p.terms = {m: c * other for m, c in self.terms.items()}
-            return p
-        out: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                acc = out.get(mono, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = acc
-        p = VPoly.__new__(VPoly)
-        p.terms = out
-        return p
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "VPoly":
-        out = VPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return VPoly({(0,) * (i - 1) + (1,): 1})
 
     def max_var(self) -> int:
         return max((len(m) for m in self.terms), default=0)
@@ -159,22 +99,6 @@ class VPoly:
                     v *= values[i] ** e
             total += v
         return total
-
-    def __eq__(self, other):
-        return isinstance(other, VPoly) and self.terms == other.terms
-
-    def __repr__(self):
-        return f"VPoly({self.terms!r})"
-
-
-def _trim(mono: tuple[int, ...]) -> tuple[int, ...]:
-    while mono and mono[-1] == 0:
-        mono = mono[:-1]
-    return mono
-
-
-def _mono_mul(m1: tuple[int, ...], m2: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a + b for a, b in itertools.zip_longest(m1, m2, fillvalue=0))
 
 
 # ----------------------------------------------------------------------

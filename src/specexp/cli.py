@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
 
@@ -86,63 +86,42 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+def _parse_bool(raw: str) -> bool:
+    if raw in ("true", "1"):
+        return True
+    if raw in ("false", "0"):
+        return False
+    raise ValidationError(f"boolean config value must be true/false/1/0, got {raw!r}")
+
+
+def _parse_mode(raw: str) -> str:
+    if raw not in ("action", "heat"):
+        raise ValidationError(f"mode must be 'action' or 'heat', got {raw!r}")
+    return raw
+
+
+# config-file value parsers by RunConfig field annotation, plus per-field ones
+_PARSERS = {"int": int, "float": float, "float | None": float, "str": str, "bool": _parse_bool}
+_FIELD_PARSERS = {"mode": _parse_mode}
+_CONFIG_ALIASES = {
+    "maxM": "max_m",
+    "format": "fmt",
+    "lambda": "lam",
+    "paths": "mc_paths",
+    "grid": "mc_grid",
+}
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_vals = _read_config_file(args.config) if args.config else {}
     cfg = RunConfig(command=args.command)
-    mapping = {
-        "order": int,
-        "max_order": int,
-        "form": str,
-        "fmt": str,
-        "family": str,
-        "H": float,
-        "t": float,
-        "max_m": int,
-        "string": str,
-        "geometry": str,
-        "lam": float,
-        "testfn": str,
-        "seed": int,
-        "tolerance": float,
-        "suite": str,
-        "mc_paths": int,
-        "mc_grid": int,
-    }
-    alias = {
-        "maxM": "max_m",
-        "format": "fmt",
-        "lambda": "lam",
-        "paths": "mc_paths",
-        "grid": "mc_grid",
-    }
+    options = {f.name: f.type for f in fields(RunConfig) if f.name != "command"}
     for key, raw in file_vals.items():
-        attr = alias.get(key, key)
-        if attr not in mapping:
+        attr = _CONFIG_ALIASES.get(key, key)
+        if attr not in options:
             raise ValidationError(f"unknown config key {key!r}")
-        setattr(cfg, attr, mapping[attr](raw))
-    for attr in (
-        "order",
-        "max_order",
-        "form",
-        "fmt",
-        "family",
-        "H",
-        "t",
-        "max_m",
-        "string",
-        "geometry",
-        "lam",
-        "testfn",
-        "seed",
-        "tolerance",
-        "check_golden",
-        "reconcile",
-        "mode",
-        "suite",
-        "fast",
-        "mc_paths",
-        "mc_grid",
-    ):
+        setattr(cfg, attr, _FIELD_PARSERS.get(attr, _PARSERS[options[attr]])(raw))
+    for attr in options:
         val = getattr(args, attr, None)
         if val is not None:
             setattr(cfg, attr, val)

@@ -26,10 +26,11 @@ from typing import Callable, Iterable, Sequence
 
 from . import bell, bridge
 from .symcore import (
-    ZERO,
     DerivMonomial,
     ExactScalar,
+    SparsePoly,
     SymPoly,
+    _acc,
     eval_numeric,
     to_a_form,
 )
@@ -152,58 +153,28 @@ def crm_direct(r: Fraction | int, m: int, M: int) -> list[MomentTerm]:
 # Bell-polynomial route
 # ----------------------------------------------------------------------
 
-class _UVTerms:
-    """Commutative-ring carrier for Bell evaluation over u/v sequences.
+class _UVTerms(SparsePoly):
+    """Bell-evaluation carrier over the u/v sequences, coefficients in Q.
 
-    Elements are canonical maps (monomial, letters) -> ExactScalar.
+    Keys are (monomial, letters) with letters a sorted tuple.  A letter
+    carries no 2^(i/2) weight: every Bell piece of ``crm_bell`` has letter
+    degree equal to its width, so the weight is applied once per piece.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms or {})
+    __slots__ = ()
+    _ONE_KEY = (DerivMonomial(0), ())
 
     @staticmethod
-    def one() -> "_UVTerms":
-        return _UVTerms({(DerivMonomial(0), ()): ExactScalar(1)})
+    def _mono_mul(k1, k2):
+        return (k1[0] * k2[0], tuple(sorted(k1[1] + k2[1])))
 
     @staticmethod
     def u_letter(i: int) -> "_UVTerms":
-        mono = DerivMonomial(0, (), ((i, 1),))
-        return _UVTerms({(mono, (i,)): ExactScalar.sqrt2_power(i)})
+        return _UVTerms({(DerivMonomial(0, (), ((i, 1),)), (i,)): 1})
 
     @staticmethod
     def v_letter(i: int) -> "_UVTerms":
-        mono = DerivMonomial(0, ((i + 1, 1),), ())
-        return _UVTerms({(mono, (i,)): ExactScalar.sqrt2_power(i)})
-
-    def __add__(self, other: "_UVTerms") -> "_UVTerms":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key, ZERO) + c
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return _UVTerms(out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return _UVTerms()
-            return _UVTerms({k: c * other for k, c in self.terms.items()})
-        out: dict = {}
-        for (m1, w1), c1 in self.terms.items():
-            for (m2, w2), c2 in other.terms.items():
-                key = (m1 * m2, tuple(sorted(w1 + w2)))
-                acc = out.get(key, ZERO) + c1 * c2
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return _UVTerms(out)
-
-    __rmul__ = __mul__
+        return _UVTerms({(DerivMonomial(0, ((i + 1, 1),), ()), (i,)): 1})
 
 
 def crm_bell(r: Fraction | int, m: int, order: int) -> list[MomentTerm]:
@@ -213,6 +184,9 @@ def crm_bell(r: Fraction | int, m: int, order: int) -> list[MomentTerm]:
     sum over n, k, p, beta of  binom(r-n,k) binom(2n+m,p) binom(2M-2n,beta)
     k! p! / (4^n n! (2M-2n)!) u_0^(r-n-k) v_0^(2n+m-p)
     B_{beta,k}(u_1,...) B_{2M-2n-beta,p}(v_1,...).
+
+    The letter weights 2^(i/2) multiply to 2^((2M-2n)/2) in every piece, a
+    rational factor, so the whole assembly runs over Q.
     """
     r = Fraction(r)
     if order % 2 != 0 or order < 0:
@@ -237,42 +211,24 @@ def crm_bell(r: Fraction | int, m: int, order: int) -> list[MomentTerm]:
                     bin_u
                     * bin_v
                     * Fraction(
-                        math.factorial(k) * math.factorial(p),
+                        math.factorial(k) * math.factorial(p) * 2 ** (width // 2),
                         4**n * math.factorial(n) * math.factorial(width),
                     )
                 )
+                base_mono = DerivMonomial(two_r - 2 * n - 2 * k, ((1, 2 * n + m - p),), ())
                 for beta in range(0, width + 1):
                     bell_u = bell.bell_polynomial(beta, k, u_args, one=one)
                     bell_v = bell.bell_polynomial(width - beta, p, v_args, one=one)
                     piece = bell_u * bell_v
-                    if not piece.terms:
-                        continue
-                    coeff = pref_np * _binom_int(width, beta)
-                    base_mono = DerivMonomial(
-                        two_r - 2 * n - 2 * k,
-                        ((1, 2 * n + m - p),),
-                        (),
-                    )
-                    contrib = piece * coeff
-                    for (mono, letters), c in contrib.terms.items():
-                        key = (base_mono * mono, letters)
-                        acc = total.get(key, ZERO) + c
-                        if acc.is_zero():
-                            total.pop(key, None)
-                        else:
-                            total[key] = acc
+                    coeff = pref_np * math.comb(width, beta)
+                    for (mono, letters), c in piece.terms.items():
+                        _acc(total, (base_mono * mono, letters), c * coeff)
     return [
-        MomentTerm(c, mono, letters)
+        MomentTerm(ExactScalar(c), mono, letters)
         for (mono, letters), c in sorted(
             total.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1])
         )
     ]
-
-
-def _binom_int(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 # ----------------------------------------------------------------------
@@ -293,14 +249,9 @@ def integrate_bridge(terms: Iterable[MomentTerm]) -> SymPoly:
             moment = bridge.moment_product(Counter(term.letters))
             if moment == 0:
                 continue
-            contrib = term.scalar * moment
+            _acc(acc, term.sym, term.scalar * moment)
         else:
-            contrib = term.scalar
-        cur = acc.get(term.sym, ZERO) + contrib
-        if cur.is_zero():
-            acc.pop(term.sym, None)
-        else:
-            acc[term.sym] = cur
+            _acc(acc, term.sym, term.scalar)
     for mono, coeff in acc.items():
         if not coeff.is_rational():
             raise ConsistencyError(

@@ -390,7 +390,8 @@ def s4_packing_action_terms(
         f_4 Lambda^4 zeta_string(4)/2,  and per pole f_sigma zeta_D(sigma)/2 Res,
     with exact tokens wherever the string provides them.  Moment factors are
     included when ``moments`` is given; otherwise rows carry the bare
-    zeta-side constants (the shape used for reconciliation reports).
+    zeta-side constants (the shape used for reconciliation reports).  Rows at
+    poles where zeta_D is exactly 0 are an exact 0 either way.
     """
     strip = pole_strip if pole_strip is not None else ((-8.5, 4.5), (-46.0, 46.0))
     rows: list[ExpansionTerm] = []
@@ -422,6 +423,11 @@ def s4_packing_action_terms(
             sigma.real
         ) <= 1:
             zd = zeta_mod.dirac_zeta_s4_exact(int(round(sigma.real)))
+            if not zd.rat:
+                # zeta_D vanishes here (sigma = -1, -3, ...): the row is an exact 0
+                # whatever f_sigma is, so the moment is not asked for
+                rows.append(ExpansionTerm(sigma, zd, "pole", sigma))
+                continue
             weight = zd * Fraction(1, 2)
             coeff = (
                 weight * p.exact

@@ -1,11 +1,16 @@
-"""Exact scalars over Q(sqrt2) and canonical polynomials in scale-factor derivatives.
+"""Exact scalars over Q(sqrt2) and the package's sparse polynomial carrier.
 
-Two polynomial carriers live here.  ``SymPoly`` works in the variables
-A(t) = 1/a(t) and B(t) = A(t)^2 together with their derivatives A^(i), B^(i),
-allowing half-integer powers of B (stored in half units).  ``AFormPoly`` works
-directly in the scale factor a(t) and its derivatives, with a single signed
-power of a per monomial.  Both are canonical maps monomial -> coefficient, so
-structural equality is mathematical equality.
+``SparsePoly`` is the one implementation of "canonical map monomial ->
+nonzero coefficient" with add, multiply, power and cancel-on-zero; each
+carrier subclasses it with only its monomial product, key normalisation,
+constant key and coefficient ring.  Two carriers live here.  ``SymPoly``
+works in the variables A(t) = 1/a(t) and B(t) = A(t)^2 together with their
+derivatives A^(i), B^(i), allowing half-integer powers of B (stored in half
+units), over Q(sqrt2).  ``AFormPoly`` works directly in the scale factor a(t)
+and its derivatives, with a single signed power of a per monomial, over Q.
+The others are ``bridge.VPoly`` (simplex variables) and
+``expansion._UVTerms`` (Bell assembly).  All are canonical, so structural
+equality is mathematical equality.
 
 All values are immutable after construction and every operation is a pure
 function; instances can be shared freely between threads.
@@ -21,11 +26,9 @@ from typing import Callable, Mapping
 __all__ = [
     "ExactScalar",
     "DerivMonomial",
+    "SparsePoly",
     "SymPoly",
     "AFormPoly",
-    "add",
-    "mul",
-    "scale",
     "differentiate",
     "to_a_form",
     "eval_numeric",
@@ -70,6 +73,9 @@ class ExactScalar:
     # -- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
         return not self.rat0 and not self.rat1
+
+    def __bool__(self) -> bool:
+        return bool(self.rat0 or self.rat1)
 
     def is_rational(self) -> bool:
         return not self.rat1
@@ -165,6 +171,144 @@ ONE = ExactScalar(1)
 SQRT2 = ExactScalar(0, 1)
 
 
+def _acc(out: dict, key, coeff) -> None:
+    """out[key] += coeff, dropping the key when the sum is zero."""
+    if key in out:
+        coeff = out[key] + coeff
+    if coeff:
+        out[key] = coeff
+    else:
+        out.pop(key, None)
+
+
+class SparsePoly:
+    """Immutable canonical map monomial -> nonzero coefficient.
+
+    The ring operations live here once.  A subclass supplies its monomial
+    product ``_mono_mul``, its key normalisation ``_key`` (applied by the
+    constructor), its constant monomial ``_ONE_KEY``, its coefficient ring
+    ``_ring`` (a coercion from int and Fraction) with the scalar types
+    ``_SCALARS`` it multiplies by, and the ``_sort_key`` of its monomials.
+    Operands of another carrier type get ``NotImplemented``, so mixing
+    carriers raises ``TypeError``.
+    """
+
+    __slots__ = ("terms",)
+    _ONE_KEY = ()
+    _SCALARS = (int, Fraction)
+    _ring = Fraction
+
+    def __init__(self, terms: Mapping | None = None):
+        clean: dict = {}
+        if terms:
+            key, ring = self._key, self._ring
+            for mono, coeff in terms.items():
+                _acc(clean, key(mono), ring(coeff))
+        object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _wrap(cls, terms: dict):
+        """Instance over an already canonical dict, which it takes over."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
+        return poly
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @staticmethod
+    def _key(mono):
+        return mono
+
+    @staticmethod
+    def _mono_mul(m1, m2):
+        raise NotImplementedError
+
+    @staticmethod
+    def _sort_key(mono):
+        return mono
+
+    # -- constructors -------------------------------------------------
+    @classmethod
+    def zero(cls):
+        return cls._wrap({})
+
+    @classmethod
+    def constant(cls, c):
+        return cls({cls._ONE_KEY: c})
+
+    @classmethod
+    def one(cls):
+        return cls.constant(1)
+
+    # -- ring operations ----------------------------------------------
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            _acc(out, mono, coeff)
+        return self._wrap(out)
+
+    def __neg__(self):
+        return self._wrap({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c):
+        c = self._ring(c)
+        if not c:
+            return self.zero()
+        return self._wrap({m: k * c for m, k in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, self._SCALARS):
+            return self.scale(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        out: dict = {}
+        mono_mul = self._mono_mul
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                _acc(out, mono_mul(m1, m2), c1 * c2)
+        return self._wrap(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"{type(self).__name__} powers must be non-negative")
+        out = self.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    # -- queries -------------------------------------------------------
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def sorted_terms(self) -> list:
+        key = self._sort_key
+        return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms!r})"
+
+
 def _normalize_exp(exp) -> tuple[tuple[int, int], ...]:
     """Sparse exponent map as a sorted tuple of (index, exponent), no zeros."""
     if isinstance(exp, Mapping):
@@ -225,41 +369,20 @@ class DerivMonomial:
 _MONOMIAL_ONE = DerivMonomial(0)
 
 
-class SymPoly:
+class SymPoly(SparsePoly):
     """Canonical map DerivMonomial -> ExactScalar with no zero coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[DerivMonomial, ExactScalar] | None = None):
-        clean: dict[DerivMonomial, ExactScalar] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = _coerce(coeff)
-                if mono in clean:
-                    coeff = clean[mono] + coeff
-                if coeff.is_zero():
-                    clean.pop(mono, None)
-                else:
-                    clean[mono] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("SymPoly is immutable")
-
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def zero() -> "SymPoly":
-        return SymPoly()
-
-    @staticmethod
-    def constant(c) -> "SymPoly":
-        c = _coerce(c)
-        return SymPoly({} if c.is_zero() else {_MONOMIAL_ONE: c})
+    __slots__ = ()
+    _ONE_KEY = _MONOMIAL_ONE
+    _SCALARS = (int, Fraction, ExactScalar)
+    _ring = staticmethod(_coerce)
+    _mono_mul = staticmethod(DerivMonomial.__mul__)
+    _sort_key = staticmethod(DerivMonomial.sort_key)
 
     @staticmethod
     def b_power(half_units: int, coeff=1) -> "SymPoly":
         """B(t)^(half_units/2) with an optional coefficient."""
-        return SymPoly({DerivMonomial(half_units): _coerce(coeff)})
+        return SymPoly({DerivMonomial(half_units): coeff})
 
     @staticmethod
     def a_deriv(i: int) -> "SymPoly":
@@ -271,272 +394,80 @@ class SymPoly:
 
     @staticmethod
     def monomial(mono: DerivMonomial, coeff=1) -> "SymPoly":
-        c = _coerce(coeff)
-        return SymPoly({} if c.is_zero() else {mono: c})
-
-    # -- ring operations ----------------------------------------------
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, ZERO) + coeff
-            if acc.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
-        poly = SymPoly.__new__(SymPoly)
-        object.__setattr__(poly, "terms", out)
-        return poly
-
-    def __neg__(self) -> "SymPoly":
-        poly = SymPoly.__new__(SymPoly)
-        object.__setattr__(poly, "terms", {m: -c for m, c in self.terms.items()})
-        return poly
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "SymPoly":
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            return self.scale(other)
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        out: dict[DerivMonomial, ExactScalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = m1 * m2
-                acc = out.get(mono, ZERO) + c1 * c2
-                if acc.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = acc
-        poly = SymPoly.__new__(SymPoly)
-        object.__setattr__(poly, "terms", out)
-        return poly
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "SymPoly":
-        c = _coerce(c)
-        if c.is_zero():
-            return SymPoly.zero()
-        poly = SymPoly.__new__(SymPoly)
-        object.__setattr__(poly, "terms", {m: k * c for m, k in self.terms.items()})
-        return poly
-
-    def __pow__(self, n: int) -> "SymPoly":
-        if n < 0:
-            raise ValueError("SymPoly powers must be non-negative")
-        out = SymPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    # -- queries -------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[DerivMonomial, ExactScalar]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+        return SymPoly({mono: coeff})
 
     def all_rational(self) -> bool:
         return all(c.is_rational() for c in self.terms.values())
-
-    def __eq__(self, other):
-        return isinstance(other, SymPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(self.sorted_terms()))
 
     def __repr__(self):
         return f"SymPoly({sympoly_to_text(self)!r})"
 
 
-# ----------------------------------------------------------------------
-# module-level operation names used throughout the package
-# ----------------------------------------------------------------------
-
-def add(p: SymPoly, q: SymPoly) -> SymPoly:
-    return p + q
-
-
-def mul(p: SymPoly, q: SymPoly) -> SymPoly:
-    return p * q
-
-
-def scale(p: SymPoly, c) -> SymPoly:
-    return p.scale(c)
-
-
 def differentiate(p: SymPoly) -> SymPoly:
     """d/dt with A^(i) -> A^(i+1), B^(i) -> B^(i+1), B^(k/2) -> (k/2)B^(k/2-1)B'."""
     out: dict[DerivMonomial, ExactScalar] = {}
-
-    def _accumulate(mono: DerivMonomial, coeff: ExactScalar):
-        if coeff.is_zero():
-            return
-        acc = out.get(mono, ZERO) + coeff
-        if acc.is_zero():
-            out.pop(mono, None)
-        else:
-            out[mono] = acc
-
     for mono, coeff in p.terms.items():
         if mono.b_half:
-            factor = coeff * Fraction(mono.b_half, 2)
-            _accumulate(
+            _acc(
+                out,
                 DerivMonomial(mono.b_half - 2, mono.a_exp, mono.b_exp + ((1, 1),)),
-                factor,
+                coeff * Fraction(mono.b_half, 2),
             )
         for i, e in mono.a_exp:
-            _accumulate(
-                DerivMonomial(
-                    mono.b_half,
-                    mono.a_exp + ((i, -1), (i + 1, 1)),
-                    mono.b_exp,
-                ),
+            _acc(
+                out,
+                DerivMonomial(mono.b_half, mono.a_exp + ((i, -1), (i + 1, 1)), mono.b_exp),
                 coeff * e,
             )
         for i, e in mono.b_exp:
-            _accumulate(
-                DerivMonomial(
-                    mono.b_half,
-                    mono.a_exp,
-                    mono.b_exp + ((i, -1), (i + 1, 1)),
-                ),
+            _acc(
+                out,
+                DerivMonomial(mono.b_half, mono.a_exp, mono.b_exp + ((i, -1), (i + 1, 1))),
                 coeff * e,
             )
-    poly = SymPoly.__new__(SymPoly)
-    object.__setattr__(poly, "terms", out)
-    return poly
+    return SymPoly._wrap(out)
 
 
 # ----------------------------------------------------------------------
 # a-form polynomials
 # ----------------------------------------------------------------------
 
-class AFormPoly:
+class AFormPoly(SparsePoly):
     """Polynomial in a(t) and its derivatives with rational coefficients.
 
     Monomials are pairs (a_pow, deriv_exp) where a_pow is a signed integer
     exponent of a(t) and deriv_exp is a sparse map i -> exponent of a^(i)(t).
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, tuple], Fraction] | None = None):
-        clean: dict[tuple[int, tuple[tuple[int, int], ...]], Fraction] = {}
-        if terms:
-            for (a_pow, dexp), coeff in terms.items():
-                key = (int(a_pow), _normalize_exp(dexp))
-                acc = clean.get(key, Fraction(0)) + Fraction(coeff)
-                if acc == 0:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = acc
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("AFormPoly is immutable")
+    __slots__ = ()
+    _ONE_KEY = (0, ())
 
     @staticmethod
-    def zero() -> "AFormPoly":
-        return AFormPoly()
+    def _key(mono) -> tuple[int, tuple[tuple[int, int], ...]]:
+        a_pow, dexp = mono
+        return (int(a_pow), _normalize_exp(dexp))
 
     @staticmethod
-    def constant(c) -> "AFormPoly":
-        c = Fraction(c)
-        return AFormPoly({(0, ()): c} if c else {})
+    def _mono_mul(m1, m2):
+        return (m1[0] + m2[0], _normalize_exp(m1[1] + m2[1]))
 
     @staticmethod
     def a_power(n: int, coeff=1) -> "AFormPoly":
-        return AFormPoly({(n, ()): Fraction(coeff)})
+        return AFormPoly({(n, ()): coeff})
 
     @staticmethod
     def deriv(i: int, coeff=1) -> "AFormPoly":
-        return AFormPoly({(0, ((i, 1),)): Fraction(coeff)})
-
-    def __add__(self, other: "AFormPoly") -> "AFormPoly":
-        if not isinstance(other, AFormPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key, Fraction(0)) + coeff
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        poly = AFormPoly.__new__(AFormPoly)
-        object.__setattr__(poly, "terms", out)
-        return poly
-
-    def __neg__(self):
-        poly = AFormPoly.__new__(AFormPoly)
-        object.__setattr__(poly, "terms", {k: -c for k, c in self.terms.items()})
-        return poly
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return AFormPoly.zero()
-            poly = AFormPoly.__new__(AFormPoly)
-            object.__setattr__(
-                poly, "terms", {k: c * other for k, c in self.terms.items()}
-            )
-            return poly
-        if not isinstance(other, AFormPoly):
-            return NotImplemented
-        out: dict[tuple[int, tuple], Fraction] = {}
-        for (p1, d1), c1 in self.terms.items():
-            for (p2, d2), c2 in other.terms.items():
-                key = (p1 + p2, _normalize_exp(d1 + d2))
-                acc = out.get(key, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        poly = AFormPoly.__new__(AFormPoly)
-        object.__setattr__(poly, "terms", out)
-        return poly
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "AFormPoly":
-        if n < 0:
-            raise ValueError("AFormPoly powers must be non-negative")
-        out = AFormPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return AFormPoly({(0, ((i, 1),)): coeff})
 
     def differentiate(self) -> "AFormPoly":
         """Formal d/dt: a -> a^(1), a^(i) -> a^(i+1)."""
-        out = AFormPoly.zero()
+        out: dict[tuple[int, tuple], Fraction] = {}
         for (a_pow, dexp), coeff in self.terms.items():
             if a_pow:
-                out = out + AFormPoly(
-                    {(a_pow - 1, _normalize_exp(dexp + ((1, 1),))): coeff * a_pow}
-                )
+                _acc(out, (a_pow - 1, _normalize_exp(dexp + ((1, 1),))), coeff * a_pow)
             for i, e in dexp:
-                out = out + AFormPoly(
-                    {
-                        (a_pow, _normalize_exp(dexp + ((i, -1), (i + 1, 1)))): coeff
-                        * e
-                    }
-                )
-        return out
+                _acc(out, (a_pow, _normalize_exp(dexp + ((i, -1), (i + 1, 1)))), coeff * e)
+        return AFormPoly._wrap(out)
 
     def eval(self, derivs: Callable[[int], float]) -> float:
         """Numeric evaluation; derivs(i) must return a^(i)(t), derivs(0) = a(t)."""
@@ -550,18 +481,6 @@ class AFormPoly:
                 val *= derivs(i) ** e
             total += val
         return total
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
-    def __eq__(self, other):
-        return isinstance(other, AFormPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(self.sorted_terms()))
 
     def __repr__(self):
         return f"AFormPoly({aform_to_text(self)!r})"

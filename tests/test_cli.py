@@ -194,3 +194,21 @@ class TestConfig:
         cfgfile.write_text("nonsense=1\n")
         code, _, err = run(capsys, "--config", str(cfgfile), "coeff", "--order", "0")
         assert code == cli.EXIT_VALIDATION
+
+    def test_mode_heat_from_config_file(self, capsys, tmp_path):
+        argv = ("pscc", "--string", "ford", "--geometry", "rw", "--family", "inflation",
+                "--t", "0.5", "--maxM", "2")
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("mode=heat\nfast=true\n")
+        code, out, _ = run(capsys, "--config", str(cfgfile), *argv)
+        flag_code, flag_out, _ = run(capsys, *argv, "--mode", "heat")
+        action_code, action_out, _ = run(capsys, *argv)
+        assert code == flag_code == action_code == 0
+        assert out == flag_out and out != action_out
+
+    @pytest.mark.parametrize("line", ["fast=yes", "check_golden=True", "reconcile=", "mode=bogus"])
+    def test_bad_config_value_is_validation_error(self, capsys, tmp_path, line):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(line + "\n")
+        code, _, err = run(capsys, "--config", str(cfgfile), "coeff", "--order", "0")
+        assert code == cli.EXIT_VALIDATION and "error:" in err

@@ -179,6 +179,19 @@ class TestPackingTemplate:
             assert abs(float(coeff) - want) <= 1e-12 * abs(want), k
 
 
+    def test_gaussian_moments_with_default_strip(self):
+        # zeta_D vanishes at -1, -3, -5, -7, where the Gaussian has no moment
+        g = pscc.gaussian_test_function()
+        rows = {t.provenance: t.coeff
+                for t in pscc.s4_packing_action_terms(zt.FordString(), g)}
+        bare = {t.provenance: t.coeff for t in pscc.s4_packing_action_terms(zt.FordString())}
+        for k in (1, 3, 5, 7):
+            assert rows[complex(-k, 0)] == zt.ExactToken(Fraction(0))
+        for k in (2, 4, 6, 8):
+            sigma = complex(-k, 0)
+            assert rows[sigma] == float(bare[sigma]) * g.moment(sigma)
+
+
 class TestLeadingConstantReconciliation:
     def test_matching_rows(self):
         rep = pscc.ford_constants_reconciliation()

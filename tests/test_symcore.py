@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specexp import bridge
 from specexp import symcore as sc
+from specexp.expansion import _UVTerms
 
 
 def B(h, c=1):
@@ -25,6 +27,7 @@ class TestExactScalar:
     def test_zero_iff_both_components(self):
         assert sc.ExactScalar(0, 0).is_zero()
         assert not sc.ExactScalar(0, 1).is_zero()
+        assert not sc.ExactScalar(0, 0) and sc.ExactScalar(0, 1) and sc.ExactScalar(1, 0)
 
     def test_powers(self):
         assert sc.ExactScalar.sqrt2_power(4) == 4
@@ -205,3 +208,43 @@ def test_differentiation_commutes_with_substitution(p):
     lhs = sc.to_a_form(sc.differentiate(p))
     rhs = sc.to_a_form(p).differentiate()
     assert lhs == rhs
+
+
+# every carrier of the package is a SparsePoly; one sample element of each
+CARRIERS = {
+    "VPoly": lambda: bridge.VPoly.var(1) * Fraction(1, 2) + bridge.VPoly.var(3),
+    "_UVTerms": lambda: _UVTerms.u_letter(1) + _UVTerms.v_letter(2) * 3,
+    "SymPoly": lambda: B(-3, Fraction(1, 2)) + sc.SymPoly.a_deriv(1).scale(sc.SQRT2),
+    "AFormPoly": lambda: sc.AFormPoly.a_power(-1, 2) + sc.AFormPoly.deriv(2),
+}
+
+
+@pytest.mark.parametrize("make", CARRIERS.values(), ids=CARRIERS.keys())
+def test_carrier_contract(make):
+    p = make()
+    cls = type(p)
+    assert issubclass(cls, sc.SparsePoly)
+    assert not set(vars(cls)) & {"__add__", "__mul__", "__pow__", "__neg__", "__eq__", "__hash__"}
+    assert not p.is_zero() and (p - p).is_zero() and (p + (-p)).is_zero()
+    assert p * 2 == p + p == 2 * p
+    assert p * Fraction(1, 2) + p.scale(Fraction(1, 2)) == p
+    assert (p * 0).is_zero() and p * cls.one() == p
+    assert p ** 0 == cls.one() == cls.constant(1)
+    assert p ** 3 == p * p * p
+    with pytest.raises(ValueError):
+        p ** -1
+    q = make()
+    assert q == p and hash(q) == hash(p) and q is not p
+    assert len({p, q, p * p}) == 2
+    with pytest.raises(AttributeError):
+        p.terms = {}
+
+
+def test_mixed_carriers_raise_type_error():
+    v, a = bridge.VPoly.var(1), sc.AFormPoly.deriv(1)
+    with pytest.raises(TypeError):
+        v + a
+    with pytest.raises(TypeError):
+        v * a
+    with pytest.raises(TypeError):
+        _UVTerms.u_letter(1) + sc.SymPoly.a_deriv(1)
