@@ -490,17 +490,29 @@ _MC_CHUNK = 8192
 
 
 def _mc_chunk_sums(key, n_grid: int, seed: int, chunk_index: int, todo: int):
-    """(sum, sum of squares) of the functional over one counter-seeded chunk."""
-    v = np.linspace(0.0, 1.0, n_grid + 1)
+    """(sum, sum of squares) of the functional over one counter-seeded chunk.
+
+    The bridge is built in place on the grid points v_1..v_{n_grid}.  It is
+    zero at v_0 = 0 and v_{n_grid} = 1, so each trapezoid sum is dt times the
+    sum over the interior points.
+    The powers alpha^k are running products in ascending letter order.
+    """
     dt = 1.0 / n_grid
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
-    incr = rng.standard_normal((todo, n_grid)) * np.sqrt(dt)
-    w = np.concatenate([np.zeros((todo, 1)), np.cumsum(incr, axis=1)], axis=1)
-    alpha = w - v[None, :] * w[:, -1:]
+    alpha = rng.standard_normal((todo, n_grid))
+    alpha *= np.sqrt(dt)
+    np.cumsum(alpha, axis=1, out=alpha)
+    alpha -= np.linspace(0.0, 1.0, n_grid + 1)[1:] * alpha[:, -1:]
     vals = np.ones(todo)
+    power, alpha_k = 1, alpha
     for letter, mult in key:
-        xk = np.trapezoid(alpha**letter, dx=dt, axis=1)
-        vals = vals * xk**mult
+        for _ in range(power, letter):
+            if alpha_k is alpha:
+                alpha_k = alpha * alpha
+            else:
+                alpha_k *= alpha
+        power = letter
+        vals *= (alpha_k[:, :-1].sum(axis=1) * dt) ** mult
     return float(vals.sum()), float((vals**2).sum())
 
 

@@ -37,11 +37,15 @@ class ValidationError(Exception):
 
 
 def worker_count() -> int:
+    """Monte Carlo worker count from SPECEXP_THREADS (default 1)."""
     raw = os.environ.get("SPECEXP_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValidationError(f"SPECEXP_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 @dataclass

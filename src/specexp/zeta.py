@@ -491,9 +491,13 @@ def dirac_zeta_s4_exact(s: int) -> ExactToken:
 def euler_totient_sieve(n_max: int) -> np.ndarray:
     """phi(0..n_max) as an int64 array (phi[0] = 0)."""
     phi = np.arange(n_max + 1, dtype=np.int64)
-    for p in range(2, n_max + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] -= phi[p::p] // p
+    prime = np.ones(n_max + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(n_max) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    for p in np.flatnonzero(prime).tolist():
+        phi[p::p] -= phi[p::p] // p
     return phi
 
 

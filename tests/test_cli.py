@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +182,40 @@ class TestVerify:
         assert code == (cli.EXIT_OK if rep["pass"] else cli.EXIT_VERIFY)
         checks = rep["suites"]["dawson"]["checks"]
         assert checks and all(c["pass"] in (True, False) for c in checks)
+
+
+class TestWorkerCount:
+    def test_default_and_large_value(self, monkeypatch):
+        monkeypatch.delenv("SPECEXP_THREADS", raising=False)
+        assert cli.worker_count() == 1
+        monkeypatch.setenv("SPECEXP_THREADS", "100000")
+        assert cli.worker_count() == 100000
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+    def test_bad_value_is_validation_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("SPECEXP_THREADS", raw)
+        with pytest.raises(cli.ValidationError):
+            cli.worker_count()
+        code, _, err = run(capsys, "verify", "--suite", "bridge", "--seed", "7", "--fast")
+        assert code == cli.EXIT_VALIDATION and "SPECEXP_THREADS" in err
+
+
+def test_coeff_and_eval_do_not_import_scipy():
+    # scipy serves only the verify suites; the exact commands must not load it
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys, specexp\n"
+        "from specexp import cli\n"
+        "assert cli.main(['coeff', '--order', '2']) == 0\n"
+        "assert cli.main(['eval', '--family', 'matter', '--maxM', '4']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestConfig:

@@ -3,7 +3,6 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import dawsn
 
 from specexp import specfun as sf
 
@@ -22,8 +21,13 @@ class TestDawson:
         assert abs(d - 1.0) < 1e-9
 
     def test_against_independent_oracle(self):
+        def ref(x):
+            with mp.workdps(30):
+                x = mp.mpf(x)
+                return float(mp.sqrt(mp.pi) / 2 * mp.exp(-x * x) * mp.erfi(x))
+
         xs = np.linspace(-20, 20, 2001)
-        worst = max(abs(sf.dawson(float(x)) - dawsn(float(x))) for x in xs)
+        worst = max(abs(sf.dawson(float(x)) - ref(float(x))) for x in xs)
         assert worst <= 1e-13
 
     def test_ode_residual_grid(self):
@@ -102,6 +106,21 @@ class TestKummer:
 
 
 class TestDawsonSimplex:
+    def test_bridge_forms_match_covariance_sum(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 7):
+            for _ in range(5):
+                u = rng.uniform(-2.0, 2.0, n)
+                v = np.sort(rng.uniform(0.0, 1.0, n))
+                want = 0.5 * sum(
+                    (min(v[j], v[m]) - v[j] * v[m]) * u[j] * u[m]
+                    for j in range(n)
+                    for m in range(n)
+                )
+                w, uu = sf._bridge_forms(u)
+                got = 0.5 * (np.dot(w, v) - np.dot(uu, v) ** 2)
+                assert abs(got - want) <= 1e-14 * abs(want), (n, u, v)
+
     def test_n1_value(self):
         lhs, rhs, ok = sf.verify_dawson_simplex(1, [1.0])
         want = 2 * SQRT2 * sf.dawson(1.0 / (2 * SQRT2))

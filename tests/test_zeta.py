@@ -174,6 +174,12 @@ class TestStrings:
     def test_totient_sieve(self):
         phi = zt.euler_totient_sieve(12)
         assert list(phi[1:13]) == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+        phi = zt.euler_totient_sieve(2000)
+        assert phi[0] == 0
+        for n in range(1, 2001):
+            assert phi[n] == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1), n
+        for n_max in (0, 1, 2, 3, 4):
+            assert list(zt.euler_totient_sieve(n_max)) == list(phi[: n_max + 1])
 
     def test_array_sum_real_s_correctly_rounded(self):
         # the same float64 terms m * r**s, summed exactly and rounded once
