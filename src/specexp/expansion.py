@@ -1,18 +1,22 @@
 """Assembly of the Laurent coefficients C^(r,m)_M and the heat coefficients.
 
-Two independent routes build the same series: ``crm_direct`` enumerates the
-flat composition sum, ``crm_bell`` reorganizes it through partial Bell
-polynomials over the u- and v-sequences
+Two independent routes build the same series.  ``crm_bell``, the production
+route, organizes it through partial Bell polynomials over the u- and
+v-sequences
 
     u_n = B^(n)(t) 2^(n/2) x_n(alpha),     v_n = A^(n+1)(t) 2^(n/2) x_n(alpha),
 
-with u_0 = B and v_0 = A'.  ``integrate_bridge`` replaces every formal letter
-multiset by its exact bridge moment, after which all sqrt2 factors must cancel
-(asserted).  ``a2M`` combines three (r, m) pairs into the coefficient of
-tau^(2M-4) in the heat trace, pointwise in t.
+with u_0 = B and v_0 = A'; its Bell pieces are memoised per index pair and
+shared by every cell and order.  ``crm_direct`` enumerates the flat
+composition sum and serves as the oracle the tests hold ``crm_bell`` to.
+``integrate_bridge`` replaces every formal letter multiset by its exact bridge
+moment, after which all sqrt2 factors must cancel (asserted).  ``a2M``
+combines three (r, m) cells, each an ``integrated_cell``, into the
+coefficient of tau^(2M-4) in the heat trace, pointwise in t.
 
 Assembly is pure; terms are reduced in canonical key order so output is
-bit-identical however the work is scheduled.
+bit-identical however the work is scheduled.  The memo tables are only ever
+filled with identical values; ``_clear_caches`` empties them for cold timings.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from . import bell, bridge
+from . import bell, bridge, symcore
 from .symcore import (
     DerivMonomial,
     ExactScalar,
@@ -40,6 +44,7 @@ __all__ = [
     "crm_direct",
     "crm_bell",
     "integrate_bridge",
+    "integrated_cell",
     "a2M",
     "heat_trace_series",
     "ScaleFactor",
@@ -73,6 +78,7 @@ class MomentTerm:
         return SymPoly.monomial(self.sym, self.scalar)
 
 
+@lru_cache(maxsize=None)
 def _binom_general(top: Fraction, k: int) -> Fraction:
     """Falling-factorial binomial: top can be any rational."""
     out = Fraction(1)
@@ -177,6 +183,38 @@ class _UVTerms(SparsePoly):
         return _UVTerms({(DerivMonomial(0, ((i + 1, 1),), ()), (i,)): 1})
 
 
+@lru_cache(maxsize=None)
+def _bell_piece(n: int, k: int, v_side: bool) -> _UVTerms:
+    """B_{n,k} over the v-letters when ``v_side``, else over the u-letters.
+
+    The piece depends on (n, k) only, not on the width of the cell it sits
+    in, so one evaluation serves every cell of every order.
+    """
+    letter = _UVTerms.v_letter if v_side else _UVTerms.u_letter
+    args = [letter(i) for i in range(1, n - k + 2)]
+    return bell.bell_polynomial(n, k, args, one=_UVTerms.one())
+
+
+@lru_cache(maxsize=None)
+def _bell_pair(width: int, k: int, p: int) -> _UVTerms:
+    """sum over beta of binom(width, beta) B_{beta,k}(u) B_{width-beta,p}(v).
+
+    It depends on no cell parameter (r, m, n), so all three cells of an
+    ``a2M`` and all orders draw on one table.
+    """
+    out: dict = {}
+    mono_mul = _UVTerms._mono_mul
+    for beta in range(0, width + 1):
+        if not (bell.bell_template(beta, k) and bell.bell_template(width - beta, p)):
+            continue  # an empty template is a zero piece
+        weight = math.comb(width, beta)
+        v_terms = _bell_piece(width - beta, p, True).terms.items()
+        for m1, c1 in _bell_piece(beta, k, False).terms.items():
+            for m2, c2 in v_terms:
+                _acc(out, mono_mul(m1, m2), weight * c1 * c2)
+    return _UVTerms._wrap(out)
+
+
 def crm_bell(r: Fraction | int, m: int, order: int) -> list[MomentTerm]:
     """Terms of C^(r,m)_{order} (order = 2M even) via partial Bell polynomials.
 
@@ -185,27 +223,28 @@ def crm_bell(r: Fraction | int, m: int, order: int) -> list[MomentTerm]:
     k! p! / (4^n n! (2M-2n)!) u_0^(r-n-k) v_0^(2n+m-p)
     B_{beta,k}(u_1,...) B_{2M-2n-beta,p}(v_1,...).
 
-    The letter weights 2^(i/2) multiply to 2^((2M-2n)/2) in every piece, a
-    rational factor, so the whole assembly runs over Q.
+    The sum over beta is a memoised ``_bell_pair``.  The letter weights
+    2^(i/2) multiply to 2^((2M-2n)/2) in every piece, a rational factor, so
+    the whole assembly runs over Q.
     """
     r = Fraction(r)
     if order % 2 != 0 or order < 0:
         raise ValueError("crm_bell expects an even non-negative target order")
     M = order // 2
     two_r = _half_units(r)
-    one = _UVTerms.one()
     total: dict = {}
     for n in range(0, M + 1):
         width = 2 * M - 2 * n
-        u_args = [_UVTerms.u_letter(i) for i in range(1, width + 2)]
-        v_args = [_UVTerms.v_letter(i) for i in range(1, width + 2)]
-        for k in range(0, 2 * M + 1):
+        for k in range(0, width + 1):
             bin_u = _binom_general(r - n, k)
             if bin_u == 0:
                 continue
-            for p in range(0, 2 * M + 1):
+            for p in range(0, width - k + 1):
                 bin_v = _binom_general(Fraction(2 * n + m), p)
                 if bin_v == 0:
+                    continue
+                pair = _bell_pair(width, k, p)
+                if pair.is_zero():
                     continue
                 pref_np = (
                     bin_u
@@ -216,13 +255,8 @@ def crm_bell(r: Fraction | int, m: int, order: int) -> list[MomentTerm]:
                     )
                 )
                 base_mono = DerivMonomial(two_r - 2 * n - 2 * k, ((1, 2 * n + m - p),), ())
-                for beta in range(0, width + 1):
-                    bell_u = bell.bell_polynomial(beta, k, u_args, one=one)
-                    bell_v = bell.bell_polynomial(width - beta, p, v_args, one=one)
-                    piece = bell_u * bell_v
-                    coeff = pref_np * math.comb(width, beta)
-                    for (mono, letters), c in piece.terms.items():
-                        _acc(total, (base_mono * mono, letters), c * coeff)
+                for (mono, letters), c in pair.terms.items():
+                    _acc(total, (base_mono * mono, letters), c * pref_np)
     return [
         MomentTerm(ExactScalar(c), mono, letters)
         for (mono, letters), c in sorted(
@@ -266,21 +300,39 @@ R_MINUS = Fraction(-1, 2)
 
 
 @lru_cache(maxsize=None)
+def integrated_cell(r: Fraction | int, m: int, order: int) -> SymPoly:
+    """C^(r,m)_{order} integrated against the bridge, built by ``crm_bell``."""
+    return integrate_bridge(crm_bell(r, m, order))
+
+
+@lru_cache(maxsize=None)
 def a2M(M: int) -> SymPoly:
     """Coefficient of tau^(2M-4) in the heat trace, pointwise in t.
 
     a_0 = B^(-3/2)/2; for M >= 1 the combination
     1/2 C_{2M}^(-3/2,0) + 1/4 (C_{2M-2}^(-5/2,2) - C_{2M-2}^(-1/2,0))
-    integrated against the bridge measure.
+    integrated against the bridge measure.  The cells come from the Bell
+    route (``integrated_cell``); ``crm_direct`` is the independent oracle
+    the tests compare it with.
     """
     if M < 0:
         raise ValueError("M must be non-negative")
-    main = integrate_bridge(crm_direct(R_MAIN, 0, 2 * M)).scale(Fraction(1, 2))
+    main = integrated_cell(R_MAIN, 0, 2 * M).scale(Fraction(1, 2))
     if M == 0:
         return main
-    plus = integrate_bridge(crm_direct(R_PLUS, 2, 2 * M - 2))
-    minus = integrate_bridge(crm_direct(R_MINUS, 0, 2 * M - 2))
+    plus = integrated_cell(R_PLUS, 2, 2 * M - 2)
+    minus = integrated_cell(R_MINUS, 0, 2 * M - 2)
     return main + (plus - minus).scale(Fraction(1, 4))
+
+
+def _clear_caches() -> None:
+    """Forget every memo behind ``a2M`` and ``to_a_form``: the next build is cold."""
+    for memo in (a2M, integrated_cell, _bell_pair, _bell_piece, _binom_general,
+                 bell.bell_template, symcore._deriv_power,
+                 symcore._a_deriv_expansion, symcore._b_deriv_expansion):
+        memo.cache_clear()
+    bridge._word_integral_cache.clear()
+    bridge._moment_cache.clear()
 
 
 # ----------------------------------------------------------------------

@@ -534,27 +534,15 @@ def nonround_zeta_coefficients(
     if isinstance(geometry, S4Geometry):
         raise ValueError("non-round scaling needs a pointwise RW geometry")
     derivs = lambda i: geometry.factor.deriv(i, geometry.t)  # noqa: E731
+    cell = exp_mod.integrated_cell
     rows = []
     for K in range(0, max_m + 1):
         # complete coefficient of tau^(2K-4): the 1/2-weighted main branch at
         # order 2K plus the 1/4-weighted pair at order 2K-2 (odd orders vanish)
-        coeff = 0.5 * float(w3) * exp_mod.eval_numeric(
-            exp_mod.integrate_bridge(exp_mod.crm_direct(exp_mod.R_MAIN, 0, 2 * K)),
-            derivs,
-        )
+        coeff = 0.5 * float(w3) * exp_mod.eval_numeric(cell(exp_mod.R_MAIN, 0, 2 * K), derivs)
         if K >= 1:
-            c_plus = exp_mod.eval_numeric(
-                exp_mod.integrate_bridge(
-                    exp_mod.crm_direct(exp_mod.R_PLUS, 2, 2 * K - 2)
-                ),
-                derivs,
-            )
-            c_minus = exp_mod.eval_numeric(
-                exp_mod.integrate_bridge(
-                    exp_mod.crm_direct(exp_mod.R_MINUS, 0, 2 * K - 2)
-                ),
-                derivs,
-            )
+            c_plus = exp_mod.eval_numeric(cell(exp_mod.R_PLUS, 2, 2 * K - 2), derivs)
+            c_minus = exp_mod.eval_numeric(cell(exp_mod.R_MINUS, 0, 2 * K - 2), derivs)
             coeff += 0.25 * (float(w3) * c_plus - float(w1) * c_minus)
         rows.append(ExpansionTerm(Fraction(2 * K - 4), coeff, "bulk", K))
     return rows

@@ -81,7 +81,11 @@ class ExactScalar:
         return not self.rat1
 
     # -- arithmetic ---------------------------------------------------
+    # Operands outside Q(sqrt2) get NotImplemented, so a carrier such as
+    # SymPoly can take over through its reflected method.
     def __add__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         other = _coerce(other)
         return ExactScalar(self.rat0 + other.rat0, self.rat1 + other.rat1)
 
@@ -91,12 +95,18 @@ class ExactScalar:
         return ExactScalar(-self.rat0, -self.rat1)
 
     def __sub__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return self + (-_coerce(other))
 
     def __rsub__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         other = _coerce(other)
         return ExactScalar(
             self.rat0 * other.rat0 + 2 * self.rat1 * other.rat1,
@@ -114,9 +124,13 @@ class ExactScalar:
         return ExactScalar(self.rat0 / norm, -self.rat1 / norm)
 
     def __truediv__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return self * _coerce(other).inverse()
 
     def __rtruediv__(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
         return _coerce(other) * self.inverse()
 
     def __pow__(self, n: int):
@@ -156,6 +170,9 @@ class ExactScalar:
         if self.rat0 == 0:
             return f"{self.rat1}*sqrt2"
         return f"({self.rat0}+{self.rat1}*sqrt2)"
+
+
+_OPERANDS = (ExactScalar, int, Fraction)
 
 
 def _coerce(x) -> ExactScalar:
@@ -311,10 +328,7 @@ class SparsePoly:
 
 def _normalize_exp(exp) -> tuple[tuple[int, int], ...]:
     """Sparse exponent map as a sorted tuple of (index, exponent), no zeros."""
-    if isinstance(exp, Mapping):
-        items = exp.items()
-    else:
-        items = exp
+    items = exp.items() if isinstance(exp, dict) else exp
     merged: dict[int, int] = {}
     for i, e in items:
         if i < 1:
@@ -524,24 +538,32 @@ def _b_deriv_expansion(k: int) -> AFormPoly:
     return bell.faa_di_bruno(k, f_derivs, g_derivs, one=AFormPoly.constant(1))
 
 
+@lru_cache(maxsize=None)
+def _deriv_power(b: bool, i: int, e: int) -> AFormPoly:
+    """a-form of (B^(i))^e when ``b``, else of (A^(i))^e."""
+    return (_b_deriv_expansion(i) if b else _a_deriv_expansion(i)) ** e
+
+
 def to_a_form(p: SymPoly) -> AFormPoly:
     """Substitute A = 1/a, B = 1/a^2 and expand all derivative symbols.
 
     Requires every coefficient of ``p`` to be plain rational (no sqrt2 part);
     B^(1/2) maps to 1/a so half powers of B are always legal.
     """
-    out = AFormPoly.zero()
+    out: dict = {}
+    one = AFormPoly.one()
     for mono, coeff in p.terms.items():
         if not coeff.is_rational():
             raise ValueError("to_a_form needs rational coefficients, got sqrt2 part")
-        # B^(b_half/2) -> a^(-b_half)
-        term = AFormPoly.a_power(-mono.b_half, coeff.rat0)
+        term = one
         for i, e in mono.a_exp:
-            term = term * _a_deriv_expansion(i) ** e
+            term = term * _deriv_power(False, i, e)
         for i, e in mono.b_exp:
-            term = term * _b_deriv_expansion(i) ** e
-        out = out + term
-    return out
+            term = term * _deriv_power(True, i, e)
+        # B^(b_half/2) -> a^(-b_half): a shift of every a-power
+        for (a_pow, dexp), c in term.terms.items():
+            _acc(out, (a_pow - mono.b_half, dexp), c * coeff.rat0)
+    return AFormPoly._wrap(out)
 
 
 def eval_numeric(p: SymPoly, derivs: Callable[[int], float]) -> float:

@@ -24,9 +24,7 @@ def _reference(order: int) -> dict:
 
 
 def _fresh_caches():
-    ex.a2M.cache_clear()
-    bridge._word_integral_cache.clear()
-    bridge._moment_cache.clear()
+    ex._clear_caches()
 
 
 def _report(num: int, detail: str):

@@ -1,9 +1,11 @@
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
 from specexp import expansion as ex
+from specexp import pscc
 from specexp import symcore as sc
 
 R_MAIN, R_PLUS, R_MINUS = ex.R_MAIN, ex.R_PLUS, ex.R_MINUS
@@ -64,6 +66,34 @@ class TestCrmBell:
                 lhs = ex.integrate_bridge(ex.crm_direct(r, m, order))
                 rhs = ex.integrate_bridge(ex.crm_bell(r, m, order))
                 assert lhs == rhs, (r, m, order)
+
+    @pytest.mark.slow
+    def test_route_equality_at_order_12(self):
+        for r, m in PAIRS:
+            lhs = ex.integrate_bridge(ex.crm_direct(r, m, 12))
+            rhs = ex.integrate_bridge(ex.crm_bell(r, m, 12))
+            assert lhs == rhs, (r, m)
+
+    def test_a2M_is_built_without_the_oracle(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a2M reached crm_direct")
+
+        want = [ex.a2M(M) for M in range(4)]
+        ex._clear_caches()
+        monkeypatch.setattr(ex, "crm_direct", refuse)
+        assert [ex.a2M(M) for M in range(4)] == want
+
+    def test_clear_caches_gives_a_cold_equal_rebuild(self):
+        warm = ex.a2M(3)
+        ex._clear_caches()
+        assert ex.a2M.cache_info().currsize == 0
+        assert ex.integrated_cell.cache_info().currsize == 0
+        assert ex._bell_pair.cache_info().currsize == 0
+        assert ex._bell_piece.cache_info().currsize == 0
+        assert ex._binom_general.cache_info().currsize == 0
+        assert sc._deriv_power.cache_info().currsize == 0
+        cold = ex.a2M(3)
+        assert cold == warm and cold is not warm
 
 
 class TestIntegrateBridge:
@@ -229,3 +259,60 @@ class TestRescaling:
         # C^(-3/2,0)_0 = B^(-3/2) picks up a^3 under the rescaling
         (term,) = ex.crm_direct(R_MAIN, 0, 0)
         assert ex.term_scaling_exponent(term) == 3
+
+
+# ----------------------------------------------------------------------
+# exact closed forms on the a-form: round S^4, hyperbolic H^4, flat R^4
+# ----------------------------------------------------------------------
+
+def _at_sin_or_sinh(aform, hyperbolic):
+    """a-form at a = sin t (or sinh t) as a map (power of s, power of c) -> Q.
+
+    a^(2j) = (-1)^j s and a^(2j+1) = (-1)^j c, signs dropped for sinh; then
+    c^2 = 1 - s^2 (1 + s^2 for sinh) leaves powers of c in {0, 1}.
+    """
+    c2_sign = 1 if hyperbolic else -1
+    out = defaultdict(Fraction)
+    for (a_pow, dexp), coeff in aform.terms.items():
+        s_pow, c_pow, sign = a_pow, 0, 1
+        for i, e in dexp:
+            if i % 2:
+                c_pow += e
+            else:
+                s_pow += e
+            if not hyperbolic and (i // 2) % 2:
+                sign *= (-1) ** e
+        half, c_rest = divmod(c_pow, 2)
+        for j in range(half + 1):
+            out[(s_pow + 2 * j, c_rest)] += sign * coeff * math.comb(half, j) * c2_sign**j
+    return {key: value for key, value in out.items() if value}
+
+
+def _at_t(aform):
+    """a-form at a = t (a' = 1, higher derivatives 0) as a map power of t -> Q."""
+    out = defaultdict(Fraction)
+    for (a_pow, dexp), coeff in aform.terms.items():
+        if all(i == 1 for i, _ in dexp):
+            out[a_pow] += coeff
+    return {key: value for key, value in out.items() if value}
+
+
+def _check_closed_forms(M):
+    aform = sc.to_a_form(ex.a2M(M))
+    s4 = Fraction(3, 4) * pscc.s4_heat_coefficient(M)
+    assert _at_sin_or_sinh(aform, hyperbolic=False) == {(3, 0): s4}
+    assert _at_sin_or_sinh(aform, hyperbolic=True) == {(3, 0): (-1) ** M * s4}
+    assert _at_t(aform) == ({3: Fraction(1, 2)} if M == 0 else {})
+
+
+class TestClosedForms:
+    """Exact identities independent of both assembly routes and of the bridge."""
+
+    @pytest.mark.parametrize("M", range(0, 7))
+    def test_sphere_hyperbolic_flat(self, M):
+        _check_closed_forms(M)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("M", (7, 8))
+    def test_sphere_hyperbolic_flat_high(self, M):
+        _check_closed_forms(M)

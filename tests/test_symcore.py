@@ -38,6 +38,23 @@ class TestExactScalar:
         with pytest.raises(ZeroDivisionError):
             sc.ExactScalar(0, 0).inverse()
 
+    def test_rational_operands_coerce(self):
+        x = sc.ExactScalar(Fraction(1, 3), 1)
+        assert x + 1 == 1 + x == sc.ExactScalar(Fraction(4, 3), 1)
+        assert x - Fraction(1, 3) == sc.SQRT2 and Fraction(1, 3) - x == -sc.SQRT2
+        assert 3 * x == x * 3 == sc.ExactScalar(1, 3)
+        assert x / 2 == sc.ExactScalar(Fraction(1, 6), Fraction(1, 2))
+        assert 1 / sc.SQRT2 == sc.ExactScalar(0, Fraction(1, 2))
+
+    def test_carrier_operand_defers_to_carrier(self):
+        p = sc.SymPoly.a_deriv(1)
+        assert sc.SQRT2 * p == p * sc.SQRT2 == p.scale(sc.SQRT2)
+
+    def test_unknown_operand_raises_type_error(self):
+        for op in (lambda x: x + 1.5, lambda x: 1.5 * x, lambda x: x - "1", lambda x: x / 2.0):
+            with pytest.raises(TypeError):
+                op(sc.SQRT2)
+
 
 class TestRing:
     def test_additive_identity(self):
