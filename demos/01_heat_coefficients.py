@@ -2,9 +2,9 @@
 
 Computes the coefficients a_0 .. a_8 of the small-time heat-trace expansion
 for a Robertson-Walker geometry, shows them in the working variables
-A = 1/a, B = 1/a^2 and in the raw scale factor, and demonstrates the two
-structural invariants that pin the combinatorics down: rationality of all
-coefficients and the degree grading of every monomial.
+A = 1/a, B = 1/a^2 and in the raw scale factor, and demonstrates the degree
+grading of every monomial, a structural invariant that pins the
+combinatorics down.  The coefficients are exact rationals.
 """
 
 import time
@@ -32,11 +32,6 @@ for M in range(0, 5):
     poly = ex.a2M(M)
     dt = time.perf_counter() - t0
     print(f"  a_{2*M}: {len(poly.terms):4d} terms in {dt*1000:8.1f} ms")
-
-print("\nEvery coefficient is a plain rational (the sqrt2 bookkeeping cancels):")
-for M in range(0, 5):
-    assert ex.a2M(M).all_rational()
-print("  checked for M <= 4")
 
 print("\nDegree grading: each a-form monomial of a_{2M} satisfies")
 print("sum k_j = sum j k_j in {2M-2, 2M} after multiplying back a^(2M-3):")

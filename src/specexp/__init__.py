@@ -3,7 +3,7 @@ geometries, with multifractal sphere-packing extensions.
 
 Subpackages by area:
 
-- symcore: exact Q(sqrt2) scalars and canonical derivative polynomials
+- symcore: the sparse polynomial carrier and canonical derivative polynomials over Q
 - bell: partial Bell polynomials / derivatives of composite functions
 - bridge: exact Brownian-bridge moments and the Monte Carlo oracle
 - expansion: Laurent coefficients C^(r,m)_M and heat coefficients a_{2M}

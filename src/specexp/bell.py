@@ -2,9 +2,9 @@
 
 The evaluators are carrier-generic: they work over any commutative ring whose
 elements support ``+``, ``*`` with each other and ``*`` with ``Fraction``.
-Plain ints/floats/complex work, as do ExactScalar and the ``SparsePoly``
-carriers: SymPoly, AFormPoly and the u/v letter sums of the expansion
-assembly (``expansion._UVTerms``).
+Plain ints/floats/complex work, as do the ``SparsePoly`` carriers: SymPoly,
+AFormPoly and the u/v letter sums of the expansion assembly
+(``expansion._UVTerms``).
 
 Integer-coefficient templates for fixed (n, k) are memoized because the same
 indices recur thousands of times across the series assemblies; the memo table

@@ -9,8 +9,10 @@ v-sequences
 with u_0 = B and v_0 = A'; its Bell pieces are memoised per index pair and
 shared by every cell and order.  ``crm_direct`` enumerates the flat
 composition sum and serves as the oracle the tests hold ``crm_bell`` to.
-``integrate_bridge`` replaces every formal letter multiset by its exact bridge
-moment, after which all sqrt2 factors must cancel (asserted).  ``a2M``
+Both routes leave out the letter weights 2^(n/2).  ``integrate_bridge``
+replaces every formal letter multiset by its exact bridge moment times the
+multiset's weight 2^(degree/2), which is rational because only multisets of
+even letter degree have a nonzero moment (asserted).  ``a2M``
 combines three (r, m) cells, each an ``integrated_cell``, into the
 coefficient of tau^(2M-4) in the heat trace, pointwise in t.
 
@@ -31,7 +33,6 @@ from typing import Callable, Iterable, Sequence
 from . import bell, bridge, symcore
 from .symcore import (
     DerivMonomial,
-    ExactScalar,
     SparsePoly,
     SymPoly,
     _acc,
@@ -58,19 +59,20 @@ __all__ = [
 
 
 class ConsistencyError(RuntimeError):
-    """Internal cross-check failed (e.g. residual sqrt2 after integration)."""
+    """Internal cross-check failed (e.g. a nonzero moment at odd letter degree)."""
 
 
 @dataclass(frozen=True)
 class MomentTerm:
     """One summand of a C^(r,m)_M series before bridge integration.
 
-    ``scalar`` carries all rational and sqrt2 factors, ``sym`` the derivative
-    monomial in A/B symbols, and ``letters`` the multiset of formal x_n(alpha)
-    markers as a sorted tuple (letter 0 is absorbed since x_0 = 1).
+    ``scalar`` carries the rational factors except the letter weight
+    2^(degree/2), which ``integrate_bridge`` applies; ``sym`` is the
+    derivative monomial in A/B symbols, and ``letters`` the multiset of formal
+    x_n(alpha) markers as a sorted tuple (letter 0 is absorbed since x_0 = 1).
     """
 
-    scalar: ExactScalar
+    scalar: Fraction
     sym: DerivMonomial
     letters: tuple[int, ...]
 
@@ -116,7 +118,8 @@ def crm_direct(r: Fraction | int, m: int, M: int) -> list[MomentTerm]:
     The sum runs over n >= 0 with N = M - 2n >= 0, ordered tuples
     (l_1..l_k) and (q_1..q_p) of positive integers with total N, weighted by
     binom(r-n, k) binom(2n+m, p) / (4^n n!) and the per-letter factors
-    2^(l/2)/l!; the 2^(N/2) collects into the sqrt2 part of the scalar.
+    1/l!.  The letter weights multiply to 2^(N/2), N the letter degree, which
+    ``integrate_bridge`` applies; the terms of odd N integrate to zero there.
     """
     r = Fraction(r)
     if m < 0 or M < 0:
@@ -142,7 +145,6 @@ def crm_direct(r: Fraction | int, m: int, M: int) -> list[MomentTerm]:
                         rat /= math.factorial(l)
                     for q in qs:
                         rat /= math.factorial(q)
-                    scalar = ExactScalar.sqrt2_power(N) * rat
                     b_exp = Counter(ls)
                     a_exp = Counter(q + 1 for q in qs)
                     a_exp[1] += 2 * n + m - p
@@ -151,7 +153,7 @@ def crm_direct(r: Fraction | int, m: int, M: int) -> list[MomentTerm]:
                         tuple(a_exp.items()),
                         tuple(b_exp.items()),
                     )
-                    terms.append(MomentTerm(scalar, mono, tuple(sorted(ls + qs))))
+                    terms.append(MomentTerm(rat, mono, tuple(sorted(ls + qs))))
     return terms
 
 
@@ -163,8 +165,8 @@ class _UVTerms(SparsePoly):
     """Bell-evaluation carrier over the u/v sequences, coefficients in Q.
 
     Keys are (monomial, letters) with letters a sorted tuple.  A letter
-    carries no 2^(i/2) weight: every Bell piece of ``crm_bell`` has letter
-    degree equal to its width, so the weight is applied once per piece.
+    carries no 2^(i/2) weight: ``integrate_bridge`` applies 2^(degree/2) once
+    per letter multiset.
     """
 
     __slots__ = ()
@@ -223,9 +225,9 @@ def crm_bell(r: Fraction | int, m: int, order: int) -> list[MomentTerm]:
     k! p! / (4^n n! (2M-2n)!) u_0^(r-n-k) v_0^(2n+m-p)
     B_{beta,k}(u_1,...) B_{2M-2n-beta,p}(v_1,...).
 
-    The sum over beta is a memoised ``_bell_pair``.  The letter weights
-    2^(i/2) multiply to 2^((2M-2n)/2) in every piece, a rational factor, so
-    the whole assembly runs over Q.
+    The sum over beta is a memoised ``_bell_pair``.  Every term has even
+    letter degree 2M-2n, the width of its piece; its letter weight
+    2^((2M-2n)/2) is left to ``integrate_bridge``.
     """
     r = Fraction(r)
     if order % 2 != 0 or order < 0:
@@ -250,7 +252,7 @@ def crm_bell(r: Fraction | int, m: int, order: int) -> list[MomentTerm]:
                     bin_u
                     * bin_v
                     * Fraction(
-                        math.factorial(k) * math.factorial(p) * 2 ** (width // 2),
+                        math.factorial(k) * math.factorial(p),
                         4**n * math.factorial(n) * math.factorial(width),
                     )
                 )
@@ -258,7 +260,7 @@ def crm_bell(r: Fraction | int, m: int, order: int) -> list[MomentTerm]:
                 for (mono, letters), c in pair.terms.items():
                     _acc(total, (base_mono * mono, letters), c * pref_np)
     return [
-        MomentTerm(ExactScalar(c), mono, letters)
+        MomentTerm(c, mono, letters)
         for (mono, letters), c in sorted(
             total.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1])
         )
@@ -270,27 +272,31 @@ def crm_bell(r: Fraction | int, m: int, order: int) -> list[MomentTerm]:
 # ----------------------------------------------------------------------
 
 def integrate_bridge(terms: Iterable[MomentTerm]) -> SymPoly:
-    """Replace each letter multiset by its exact bridge moment and sum.
+    """Replace each letter multiset by its weighted exact bridge moment and sum.
 
-    Terms whose letter degree is odd integrate to zero.  The surviving sum
-    must be sqrt2-free; a residual sqrt2 component signals an internal
-    inconsistency in the assembly and raises ConsistencyError.
+    The weight of a multiset of letter degree d is 2^(d/2), the product of
+    the letters' 2^(n/2); it is applied here, once per term, and is rational
+    because d is even.  A term of odd degree must integrate to zero and is
+    skipped; a nonzero moment there signals an internal inconsistency and
+    raises ConsistencyError.
     """
     ordered = sorted(terms, key=lambda t: (t.sym.sort_key(), t.letters))
-    acc: dict[DerivMonomial, ExactScalar] = {}
+    acc: dict[DerivMonomial, Fraction] = {}
     for term in ordered:
         if term.letters:
             moment = bridge.moment_product(Counter(term.letters))
+            degree = sum(term.letters)
+            if degree % 2:
+                if moment:
+                    raise ConsistencyError(
+                        f"moment {moment} of odd letter degree at {term.letters}"
+                    )
+                continue
             if moment == 0:
                 continue
-            _acc(acc, term.sym, term.scalar * moment)
+            _acc(acc, term.sym, term.scalar * moment * 2 ** (degree // 2))
         else:
             _acc(acc, term.sym, term.scalar)
-    for mono, coeff in acc.items():
-        if not coeff.is_rational():
-            raise ConsistencyError(
-                f"residual sqrt2 component {coeff} at {mono!r} after integration"
-            )
     return SymPoly(acc)
 
 
@@ -416,7 +422,6 @@ def rescale_uv(U, V, a):
         raise ValueError("rescaling factor must be positive")
     if isinstance(a, (int, Fraction)) and not isinstance(a, bool):
         a = Fraction(a)
-        return (U / a**2, V / a)
     return (U / a**2, V / a)
 
 

@@ -1,16 +1,19 @@
-"""Exact scalars over Q(sqrt2) and the package's sparse polynomial carrier.
+"""The package's sparse polynomial carrier and its two symbolic carriers.
 
 ``SparsePoly`` is the one implementation of "canonical map monomial ->
 nonzero coefficient" with add, multiply, power and cancel-on-zero; each
 carrier subclasses it with only its monomial product, key normalisation,
-constant key and coefficient ring.  Two carriers live here.  ``SymPoly``
+constant key and sort key.  Two carriers live here.  ``SymPoly``
 works in the variables A(t) = 1/a(t) and B(t) = A(t)^2 together with their
 derivatives A^(i), B^(i), allowing half-integer powers of B (stored in half
-units), over Q(sqrt2).  ``AFormPoly`` works directly in the scale factor a(t)
-and its derivatives, with a single signed power of a per monomial, over Q.
-The others are ``bridge.VPoly`` (simplex variables) and
-``expansion._UVTerms`` (Bell assembly).  All are canonical, so structural
-equality is mathematical equality.
+units).  ``AFormPoly`` works directly in the scale factor a(t) and its
+derivatives, with a single signed power of a per monomial.  Both have
+coefficients in Q, the only coefficient field of the package: the 2^(n/2)
+weights of the expansion letters are applied by ``expansion.integrate_bridge``
+at even letter degree, where they are rational.  The other carriers are
+``bridge.VPoly`` (simplex variables) and ``expansion._UVTerms`` (Bell
+assembly).  All are canonical, so structural equality is mathematical
+equality.
 
 All values are immutable after construction and every operation is a pure
 function; instances can be shared freely between threads.
@@ -18,13 +21,11 @@ function; instances can be shared freely between threads.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping
 
 __all__ = [
-    "ExactScalar",
     "DerivMonomial",
     "SparsePoly",
     "SymPoly",
@@ -42,152 +43,6 @@ __all__ = [
     "aform_from_json",
 ]
 
-RationalLike = int | Fraction
-
-
-class ExactScalar:
-    """Element rat0 + rat1*sqrt(2) of Q(sqrt2), both parts in lowest terms."""
-
-    __slots__ = ("rat0", "rat1", "_hash")
-
-    def __init__(self, rat0: RationalLike = 0, rat1: RationalLike = 0):
-        object.__setattr__(self, "rat0", Fraction(rat0))
-        object.__setattr__(self, "rat1", Fraction(rat1))
-        object.__setattr__(self, "_hash", hash((self.rat0, self.rat1)))
-
-    def __setattr__(self, *_):
-        raise AttributeError("ExactScalar is immutable")
-
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def from_rational(q: RationalLike) -> "ExactScalar":
-        return ExactScalar(q, 0)
-
-    @staticmethod
-    def sqrt2_power(n: int) -> "ExactScalar":
-        """Exact 2^(n/2) for integer n (possibly negative)."""
-        if n % 2 == 0:
-            return ExactScalar(Fraction(2) ** (n // 2), 0)
-        return ExactScalar(0, Fraction(2) ** ((n - 1) // 2))
-
-    # -- predicates ---------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.rat0 and not self.rat1
-
-    def __bool__(self) -> bool:
-        return bool(self.rat0 or self.rat1)
-
-    def is_rational(self) -> bool:
-        return not self.rat1
-
-    # -- arithmetic ---------------------------------------------------
-    # Operands outside Q(sqrt2) get NotImplemented, so a carrier such as
-    # SymPoly can take over through its reflected method.
-    def __add__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        other = _coerce(other)
-        return ExactScalar(self.rat0 + other.rat0, self.rat1 + other.rat1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExactScalar(-self.rat0, -self.rat1)
-
-    def __sub__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        other = _coerce(other)
-        return ExactScalar(
-            self.rat0 * other.rat0 + 2 * self.rat1 * other.rat1,
-            self.rat0 * other.rat1 + self.rat1 * other.rat0,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "ExactScalar":
-        # 1/(p + q sqrt2) = (p - q sqrt2) / (p^2 - 2 q^2); the norm is nonzero
-        # for nonzero elements since sqrt2 is irrational.
-        norm = self.rat0 * self.rat0 - 2 * self.rat1 * self.rat1
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        return ExactScalar(self.rat0 / norm, -self.rat1 / norm)
-
-    def __truediv__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        return self * _coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        if not isinstance(other, _OPERANDS):
-            return NotImplemented
-        return _coerce(other) * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ExactScalar(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    # -- comparison / misc --------------------------------------------
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.rat1 == 0 and self.rat0 == other
-        if isinstance(other, ExactScalar):
-            return self.rat0 == other.rat0 and self.rat1 == other.rat1
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
-
-    def __float__(self):
-        return float(self.rat0) + float(self.rat1) * 1.4142135623730951
-
-    def __repr__(self):
-        if self.rat1 == 0:
-            return f"ExactScalar({self.rat0})"
-        return f"ExactScalar({self.rat0}, {self.rat1})"
-
-    def __str__(self):
-        if self.rat1 == 0:
-            return str(self.rat0)
-        if self.rat0 == 0:
-            return f"{self.rat1}*sqrt2"
-        return f"({self.rat0}+{self.rat1}*sqrt2)"
-
-
-_OPERANDS = (ExactScalar, int, Fraction)
-
-
-def _coerce(x) -> ExactScalar:
-    if isinstance(x, ExactScalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return ExactScalar(x, 0)
-    raise TypeError(f"cannot coerce {type(x).__name__} into ExactScalar")
-
-
-ZERO = ExactScalar(0)
-ONE = ExactScalar(1)
-SQRT2 = ExactScalar(0, 1)
-
-
 def _acc(out: dict, key, coeff) -> None:
     """out[key] += coeff, dropping the key when the sum is zero."""
     if key in out:
@@ -199,28 +54,25 @@ def _acc(out: dict, key, coeff) -> None:
 
 
 class SparsePoly:
-    """Immutable canonical map monomial -> nonzero coefficient.
+    """Immutable canonical map monomial -> nonzero ``Fraction`` coefficient.
 
     The ring operations live here once.  A subclass supplies its monomial
     product ``_mono_mul``, its key normalisation ``_key`` (applied by the
-    constructor), its constant monomial ``_ONE_KEY``, its coefficient ring
-    ``_ring`` (a coercion from int and Fraction) with the scalar types
-    ``_SCALARS`` it multiplies by, and the ``_sort_key`` of its monomials.
+    constructor), its constant monomial ``_ONE_KEY`` and the ``_sort_key`` of
+    its monomials.  Multiplying by an int or a Fraction scales.
     Operands of another carrier type get ``NotImplemented``, so mixing
     carriers raises ``TypeError``.
     """
 
     __slots__ = ("terms",)
     _ONE_KEY = ()
-    _SCALARS = (int, Fraction)
-    _ring = Fraction
 
     def __init__(self, terms: Mapping | None = None):
         clean: dict = {}
         if terms:
-            key, ring = self._key, self._ring
+            key = self._key
             for mono, coeff in terms.items():
-                _acc(clean, key(mono), ring(coeff))
+                _acc(clean, key(mono), Fraction(coeff))
         object.__setattr__(self, "terms", clean)
 
     @classmethod
@@ -276,13 +128,13 @@ class SparsePoly:
         return self + (-other)
 
     def scale(self, c):
-        c = self._ring(c)
+        c = Fraction(c)
         if not c:
             return self.zero()
         return self._wrap({m: k * c for m, k in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, self._SCALARS):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if type(other) is not type(self):
             return NotImplemented
@@ -384,12 +236,10 @@ _MONOMIAL_ONE = DerivMonomial(0)
 
 
 class SymPoly(SparsePoly):
-    """Canonical map DerivMonomial -> ExactScalar with no zero coefficients."""
+    """Canonical map DerivMonomial -> Fraction with no zero coefficients."""
 
     __slots__ = ()
     _ONE_KEY = _MONOMIAL_ONE
-    _SCALARS = (int, Fraction, ExactScalar)
-    _ring = staticmethod(_coerce)
     _mono_mul = staticmethod(DerivMonomial.__mul__)
     _sort_key = staticmethod(DerivMonomial.sort_key)
 
@@ -400,18 +250,15 @@ class SymPoly(SparsePoly):
 
     @staticmethod
     def a_deriv(i: int) -> "SymPoly":
-        return SymPoly({DerivMonomial(0, ((i, 1),)): ONE})
+        return SymPoly({DerivMonomial(0, ((i, 1),)): 1})
 
     @staticmethod
     def b_deriv(i: int) -> "SymPoly":
-        return SymPoly({DerivMonomial(0, (), ((i, 1),)): ONE})
+        return SymPoly({DerivMonomial(0, (), ((i, 1),)): 1})
 
     @staticmethod
     def monomial(mono: DerivMonomial, coeff=1) -> "SymPoly":
         return SymPoly({mono: coeff})
-
-    def all_rational(self) -> bool:
-        return all(c.is_rational() for c in self.terms.values())
 
     def __repr__(self):
         return f"SymPoly({sympoly_to_text(self)!r})"
@@ -419,7 +266,7 @@ class SymPoly(SparsePoly):
 
 def differentiate(p: SymPoly) -> SymPoly:
     """d/dt with A^(i) -> A^(i+1), B^(i) -> B^(i+1), B^(k/2) -> (k/2)B^(k/2-1)B'."""
-    out: dict[DerivMonomial, ExactScalar] = {}
+    out: dict[DerivMonomial, Fraction] = {}
     for mono, coeff in p.terms.items():
         if mono.b_half:
             _acc(
@@ -547,14 +394,11 @@ def _deriv_power(b: bool, i: int, e: int) -> AFormPoly:
 def to_a_form(p: SymPoly) -> AFormPoly:
     """Substitute A = 1/a, B = 1/a^2 and expand all derivative symbols.
 
-    Requires every coefficient of ``p`` to be plain rational (no sqrt2 part);
-    B^(1/2) maps to 1/a so half powers of B are always legal.
+    B^(1/2) maps to 1/a, so half powers of B are always legal.
     """
     out: dict = {}
     one = AFormPoly.one()
     for mono, coeff in p.terms.items():
-        if not coeff.is_rational():
-            raise ValueError("to_a_form needs rational coefficients, got sqrt2 part")
         term = one
         for i, e in mono.a_exp:
             term = term * _deriv_power(False, i, e)
@@ -562,7 +406,7 @@ def to_a_form(p: SymPoly) -> AFormPoly:
             term = term * _deriv_power(True, i, e)
         # B^(b_half/2) -> a^(-b_half): a shift of every a-power
         for (a_pow, dexp), c in term.terms.items():
-            _acc(out, (a_pow - mono.b_half, dexp), c * coeff.rat0)
+            _acc(out, (a_pow - mono.b_half, dexp), c * coeff)
     return AFormPoly._wrap(out)
 
 
@@ -583,16 +427,12 @@ def _sym_name(base: str, i: int) -> str:
     return f"{base}({i})"
 
 
-def _coeff_text(c: ExactScalar) -> str:
-    return str(c)
-
-
 def sympoly_to_text(p: SymPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
     for mono, coeff in p.sorted_terms():
-        factors = [_coeff_text(coeff)]
+        factors = [str(coeff)]
         if mono.b_half:
             if mono.b_half % 2 == 0:
                 factors.append(f"B^({mono.b_half // 2})")
@@ -637,16 +477,10 @@ def sympoly_to_latex(p: SymPoly) -> str:
             num_factors.append(_b_half_latex(mono.b_half))
         den_sym = _b_half_latex(-mono.b_half) if mono.b_half < 0 else ""
         num = " ".join(num_factors) if num_factors else "1"
-        if coeff.is_rational():
-            q = coeff.rat0
-            sign = "-" if q < 0 else "+"
-            q = abs(q)
-            num_txt = num if q.numerator == 1 and num != "1" else (str(q.numerator) if num == "1" else f"{q.numerator} {num}")
-            den_txt = " ".join(x for x in (str(q.denominator) if q.denominator != 1 else "", den_sym) if x)
-        else:
-            sign = "+"
-            num_txt = f"({coeff}) {num}" if num != "1" else f"({coeff})"
-            den_txt = den_sym
+        sign = "-" if coeff < 0 else "+"
+        q = abs(coeff)
+        num_txt = num if q.numerator == 1 and num != "1" else (str(q.numerator) if num == "1" else f"{q.numerator} {num}")
+        den_txt = " ".join(x for x in (str(q.denominator) if q.denominator != 1 else "", den_sym) if x)
         body = f"\\frac{{{num_txt}}}{{{den_txt}}}" if den_txt else num_txt
         chunks.append((sign, body))
     first_sign, first_body = chunks[0]
@@ -657,15 +491,16 @@ def sympoly_to_latex(p: SymPoly) -> str:
 
 
 def sympoly_to_json(p: SymPoly) -> dict:
+    """JSON form of ``p``.  ``p2``/``q2`` are the format's sqrt2 part, always 0/1."""
     terms = []
     for mono, coeff in p.sorted_terms():
         terms.append(
             {
                 "coeff": {
-                    "p": coeff.rat0.numerator,
-                    "q": coeff.rat0.denominator,
-                    "p2": coeff.rat1.numerator,
-                    "q2": coeff.rat1.denominator,
+                    "p": coeff.numerator,
+                    "q": coeff.denominator,
+                    "p2": 0,
+                    "q2": 1,
                 },
                 "bHalf": mono.b_half,
                 "a": [[i, e] for i, e in mono.a_exp],
@@ -676,18 +511,19 @@ def sympoly_to_json(p: SymPoly) -> dict:
 
 
 def sympoly_from_json(obj: dict) -> SymPoly:
-    terms: dict[DerivMonomial, ExactScalar] = {}
+    """Inverse of ``sympoly_to_json``; a nonzero sqrt2 part raises ValueError."""
+    terms: dict[DerivMonomial, Fraction] = {}
     for t in obj["terms"]:
         c = t["coeff"]
-        coeff = ExactScalar(
-            Fraction(c["p"], c["q"]), Fraction(c.get("p2", 0), c.get("q2", 1))
-        )
+        if c.get("p2", 0):
+            raise ValueError(f"coefficient {c} has a sqrt2 part; a_2M are rational")
+        coeff = Fraction(c["p"], c["q"])
         mono = DerivMonomial(
             t["bHalf"],
             tuple((int(i), int(e)) for i, e in t.get("a", [])),
             tuple((int(i), int(e)) for i, e in t.get("b", [])),
         )
-        terms[mono] = terms.get(mono, ZERO) + coeff
+        terms[mono] = terms.get(mono, 0) + coeff
     return SymPoly(terms)
 
 
@@ -745,7 +581,3 @@ def aform_from_json(obj: dict) -> AFormPoly:
         key = (int(t["aPow"]), tuple((int(i), int(e)) for i, e in t.get("d", [])))
         terms[key] = terms.get(key, Fraction(0)) + Fraction(c["p"], c["q"])
     return AFormPoly(terms)
-
-
-def dump_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True)

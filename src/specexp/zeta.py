@@ -383,7 +383,7 @@ def string_zeta(string: FractalString, s):
 _ZERO_CACHE: list[float] | None = None
 
 
-def zero_ordinates(verify: bool = True) -> tuple[float, ...]:
+def zero_ordinates() -> tuple[float, ...]:
     """Bundled ordinates of the first 25 nontrivial zeros (Im part, > 0).
 
     On first use each ordinate is checked by a sign change of the Hardy Z
@@ -394,12 +394,11 @@ def zero_ordinates(verify: bool = True) -> tuple[float, ...]:
     if _ZERO_CACHE is None:
         raw = resources.files("specexp").joinpath("data/zeta_zeros.txt").read_text()
         ordinates = [float(line) for line in raw.split() if line.strip()]
-        if verify:
-            with mp.workdps(_DPS):
-                for g in ordinates:
-                    lo, hi = mp.siegelz(g - 0.05), mp.siegelz(g + 0.05)
-                    if not (lo == 0 or hi == 0 or (lo < 0) != (hi < 0)):
-                        raise RuntimeError(f"zero ordinate {g} failed sign bracketing")
+        with mp.workdps(_DPS):
+            for g in ordinates:
+                lo, hi = mp.siegelz(g - 0.05), mp.siegelz(g + 0.05)
+                if not (lo == 0 or hi == 0 or (lo < 0) != (hi < 0)):
+                    raise RuntimeError(f"zero ordinate {g} failed sign bracketing")
         _ZERO_CACHE = ordinates
     return tuple(_ZERO_CACHE)
 

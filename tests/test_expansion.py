@@ -98,21 +98,22 @@ class TestCrmBell:
 
 class TestIntegrateBridge:
     def test_empty_multiset_passthrough(self):
-        term = ex.MomentTerm(sc.ExactScalar(Fraction(3, 7)), sc.DerivMonomial(-1), ())
+        term = ex.MomentTerm(Fraction(3, 7), sc.DerivMonomial(-1), ())
         got = ex.integrate_bridge([term])
         assert got == sc.SymPoly.b_power(-1, Fraction(3, 7))
 
     def test_odd_moment_drops(self):
-        term = ex.MomentTerm(sc.ExactScalar(0, 1), sc.DerivMonomial(0), (1,))
+        term = ex.MomentTerm(Fraction(1), sc.DerivMonomial(0), (1,))
         assert ex.integrate_bridge([term]).is_zero()
 
     def test_pair_moment_scales(self):
-        term = ex.MomentTerm(sc.ExactScalar(6), sc.DerivMonomial(-3), (1, 1))
+        term = ex.MomentTerm(Fraction(6), sc.DerivMonomial(-3), (1, 1))
         got = ex.integrate_bridge([term])
-        assert got == sc.SymPoly.b_power(-3, Fraction(1, 2))  # 6 * 1/12
+        assert got == sc.SymPoly.b_power(-3, 1)  # 6 * 2^(2/2) * 1/12
 
-    def test_residual_sqrt2_raises(self):
-        bogus = ex.MomentTerm(sc.ExactScalar(0, 1), sc.DerivMonomial(0), (1, 1))
+    def test_nonzero_odd_degree_moment_raises(self, monkeypatch):
+        monkeypatch.setattr(ex.bridge, "moment_product", lambda spec: Fraction(1))
+        bogus = ex.MomentTerm(Fraction(1), sc.DerivMonomial(0), (1, 2))
         with pytest.raises(ex.ConsistencyError):
             ex.integrate_bridge([bogus])
 
@@ -125,13 +126,13 @@ class TestIntegrateBridge:
 def expected_a2():
     return (
         sc.SymPoly(
-            {sc.DerivMonomial(-5, ((1, 2),)): sc.ExactScalar(Fraction(3, 8))}
+            {sc.DerivMonomial(-5, ((1, 2),)): Fraction(3, 8)}
         )
         + sc.SymPoly(
-            {sc.DerivMonomial(-5, (), ((2, 1),)): sc.ExactScalar(Fraction(-1, 8))}
+            {sc.DerivMonomial(-5, (), ((2, 1),)): Fraction(-1, 8)}
         )
         + sc.SymPoly(
-            {sc.DerivMonomial(-7, (), ((1, 2),)): sc.ExactScalar(Fraction(5, 32))}
+            {sc.DerivMonomial(-7, (), ((1, 2),)): Fraction(5, 32)}
         )
         + sc.SymPoly.b_power(-1, Fraction(-1, 4))
     )
@@ -144,12 +145,8 @@ class TestHeatCoefficients:
     def test_a2_closed_form(self):
         assert ex.a2M(1) == expected_a2()
 
-    def test_coefficients_rational(self):
-        for M in range(0, 4):
-            assert ex.a2M(M).all_rational()
-
     def test_ab_weight_grading(self):
-        for M in (1, 2, 3):
+        for M in range(1, 7):
             weights = {mono.weight() for mono in ex.a2M(M).terms}
             assert weights <= {2 * M - 2, 2 * M}
 
@@ -252,7 +249,7 @@ class TestRescaling:
 
     def test_scaling_exponent_law(self):
         for r, m in PAIRS:
-            for M in range(0, 5):
+            for M in range(0, 11):
                 assert ex.verify_uv_scaling(r, m, M)
 
     def test_c0_main_scaling_example(self):

@@ -13,58 +13,10 @@ def B(h, c=1):
     return sc.SymPoly.b_power(h, c)
 
 
-class TestExactScalar:
-    def test_sqrt2_square(self):
-        assert sc.SQRT2 * sc.SQRT2 == 2
-
-    def test_norm_product(self):
-        assert sc.ExactScalar(1, 1) * sc.ExactScalar(1, -1) == -1
-
-    def test_inverse(self):
-        x = sc.ExactScalar(Fraction(3, 4), Fraction(-2, 5))
-        assert x * x.inverse() == 1
-
-    def test_zero_iff_both_components(self):
-        assert sc.ExactScalar(0, 0).is_zero()
-        assert not sc.ExactScalar(0, 1).is_zero()
-        assert not sc.ExactScalar(0, 0) and sc.ExactScalar(0, 1) and sc.ExactScalar(1, 0)
-
-    def test_powers(self):
-        assert sc.ExactScalar.sqrt2_power(4) == 4
-        assert sc.ExactScalar.sqrt2_power(3) == sc.ExactScalar(0, 2)
-        assert sc.ExactScalar.sqrt2_power(-1) == sc.ExactScalar(0, Fraction(1, 2))
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            sc.ExactScalar(0, 0).inverse()
-
-    def test_rational_operands_coerce(self):
-        x = sc.ExactScalar(Fraction(1, 3), 1)
-        assert x + 1 == 1 + x == sc.ExactScalar(Fraction(4, 3), 1)
-        assert x - Fraction(1, 3) == sc.SQRT2 and Fraction(1, 3) - x == -sc.SQRT2
-        assert 3 * x == x * 3 == sc.ExactScalar(1, 3)
-        assert x / 2 == sc.ExactScalar(Fraction(1, 6), Fraction(1, 2))
-        assert 1 / sc.SQRT2 == sc.ExactScalar(0, Fraction(1, 2))
-
-    def test_carrier_operand_defers_to_carrier(self):
-        p = sc.SymPoly.a_deriv(1)
-        assert sc.SQRT2 * p == p * sc.SQRT2 == p.scale(sc.SQRT2)
-
-    def test_unknown_operand_raises_type_error(self):
-        for op in (lambda x: x + 1.5, lambda x: 1.5 * x, lambda x: x - "1", lambda x: x / 2.0):
-            with pytest.raises(TypeError):
-                op(sc.SQRT2)
-
-
 class TestRing:
     def test_additive_identity(self):
         p = B(-3, Fraction(1, 2)) + sc.SymPoly.a_deriv(1)
         assert sc.SymPoly.zero() + p == p
-
-    def test_sqrt2_coefficient_product(self):
-        bp = sc.SymPoly.b_deriv(1)
-        p = bp.scale(sc.SQRT2)
-        assert p * p == (bp * bp).scale(2)
 
     def test_exponent_addition(self):
         assert B(-3) * B(1) == B(-2)
@@ -78,21 +30,21 @@ class TestDifferentiate:
     def test_b_half_power(self):
         got = sc.differentiate(B(1))
         want = sc.SymPoly(
-            {sc.DerivMonomial(-1, (), ((1, 1),)): sc.ExactScalar(Fraction(1, 2))}
+            {sc.DerivMonomial(-1, (), ((1, 1),)): Fraction(1, 2)}
         )
         assert got == want
 
     def test_a_prime_squared(self):
         got = sc.differentiate(sc.SymPoly.a_deriv(1) ** 2)
         want = sc.SymPoly(
-            {sc.DerivMonomial(0, ((1, 1), (2, 1))): sc.ExactScalar(2)}
+            {sc.DerivMonomial(0, ((1, 1), (2, 1))): Fraction(2)}
         )
         assert got == want
 
     def test_negative_b_power(self):
         got = sc.differentiate(B(-3))
         want = sc.SymPoly(
-            {sc.DerivMonomial(-5, (), ((1, 1),)): sc.ExactScalar(Fraction(-3, 2))}
+            {sc.DerivMonomial(-5, (), ((1, 1),)): Fraction(-3, 2)}
         )
         assert got == want
 
@@ -119,10 +71,6 @@ class TestAForm:
         want = sc.AFormPoly({(-2, ((2, 1),)): Fraction(-1), (-3, ((1, 2),)): Fraction(2)})
         assert got == want
 
-    def test_sqrt2_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            sc.to_a_form(B(-1, sc.SQRT2))
-
     def test_aform_differentiate_product_rule(self):
         p = sc.AFormPoly.a_power(-2) * sc.AFormPoly.deriv(1)
         got = p.differentiate()
@@ -148,12 +96,18 @@ class TestEvalNumeric:
 class TestSerialization:
     def test_json_round_trip_bit_exact(self):
         p = (
-            B(-5, sc.ExactScalar(Fraction(3, 8), Fraction(1, 2)))
+            B(-5, Fraction(3, 8))
             + sc.SymPoly.a_deriv(3)
             + sc.SymPoly.b_deriv(2) ** 2
         )
         blob = json.dumps(sc.sympoly_to_json(p))
         assert sc.sympoly_from_json(json.loads(blob)) == p
+
+    def test_sqrt2_part_rejected(self):
+        blob = sc.sympoly_to_json(B(-3, Fraction(1, 2)))
+        blob["terms"][0]["coeff"]["p2"] = 1
+        with pytest.raises(ValueError):
+            sc.sympoly_from_json(blob)
 
     def test_aform_round_trip(self):
         p = sc.to_a_form(B(-7, Fraction(5, 32)) + B(-1, Fraction(-1, 4)))
@@ -192,14 +146,11 @@ def monomials(draw):
 
 
 @st.composite
-def sympolys(draw, rational_only=False):
+def sympolys(draw):
     n = draw(st.integers(0, 3))
     terms = {}
     for _ in range(n):
-        mono = draw(monomials())
-        r0 = draw(small_rat)
-        r1 = Fraction(0) if rational_only else draw(small_rat)
-        terms[mono] = sc.ExactScalar(r0, r1)
+        terms[draw(monomials())] = draw(small_rat)
     return sc.SymPoly(terms)
 
 
@@ -220,7 +171,7 @@ def test_canonical_idempotence(p):
 
 
 @settings(max_examples=25, deadline=None)
-@given(sympolys(rational_only=True))
+@given(sympolys())
 def test_differentiation_commutes_with_substitution(p):
     lhs = sc.to_a_form(sc.differentiate(p))
     rhs = sc.to_a_form(p).differentiate()
@@ -231,7 +182,7 @@ def test_differentiation_commutes_with_substitution(p):
 CARRIERS = {
     "VPoly": lambda: bridge.VPoly.var(1) * Fraction(1, 2) + bridge.VPoly.var(3),
     "_UVTerms": lambda: _UVTerms.u_letter(1) + _UVTerms.v_letter(2) * 3,
-    "SymPoly": lambda: B(-3, Fraction(1, 2)) + sc.SymPoly.a_deriv(1).scale(sc.SQRT2),
+    "SymPoly": lambda: B(-3, Fraction(1, 2)) + sc.SymPoly.a_deriv(1).scale(3),
     "AFormPoly": lambda: sc.AFormPoly.a_power(-1, 2) + sc.AFormPoly.deriv(2),
 }
 
