@@ -14,6 +14,7 @@ worker count used by the Monte Carlo and QMC internals.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -273,9 +274,9 @@ def cmd_pscc(cfg: RunConfig) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _suite_bridge(seed: int, fast: bool, n_paths: int = 200_000, n_grid: int = 1024) -> list[dict]:
+def _suite_bridge(cfg: RunConfig) -> list[dict]:
     checks = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     # exact route equivalence on a small random word set
     words = []
     for _ in range(8):
@@ -293,9 +294,10 @@ def _suite_bridge(seed: int, fast: bool, n_paths: int = 200_000, n_grid: int = 1
     checks.append(
         {"name": "x1^2-exact", "pass": exact == Fraction(1, 12), "detail": str(exact)}
     )
-    if fast:
+    n_paths, n_grid = cfg.mc_paths, cfg.mc_grid
+    if cfg.fast:
         n_paths, n_grid = min(n_paths, 20_000), min(n_grid, 128)
-    est, se = bridge.mc_estimate({1: 2}, n_paths, n_grid, seed, worker_count())
+    est, se = bridge.mc_estimate({1: 2}, n_paths, n_grid, cfg.seed, worker_count())
     dev = abs(est - 1.0 / 12.0) / se
     checks.append(
         {
@@ -309,9 +311,9 @@ def _suite_bridge(seed: int, fast: bool, n_paths: int = 200_000, n_grid: int = 1
     return checks
 
 
-def _suite_dawson(seed: int, fast: bool) -> list[dict]:
+def _suite_dawson(cfg: RunConfig) -> list[dict]:
     checks = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     grid = np.linspace(-10, 10, 81)
     h = 1e-6
     resid = max(
@@ -319,7 +321,7 @@ def _suite_dawson(seed: int, fast: bool) -> list[dict]:
         for x in grid
     )
     checks.append({"name": "dawson-ode", "pass": resid < 1e-8, "detail": f"max residual {resid:.2g}"})
-    draws = 2 if fast else 5
+    draws = 2 if cfg.fast else 5
     for n in (1, 2, 3):
         ok = True
         worst = 0.0
@@ -334,9 +336,11 @@ def _suite_dawson(seed: int, fast: bool) -> list[dict]:
             {"name": f"dawson-simplex-n{n}", "pass": ok, "detail": f"worst |diff| {worst:.2g}"}
         )
     u4 = rng.uniform(0.3, 2.0, 4)
-    pts = 1_000_000 if fast else 10_000_000
+    pts = 1_000_000 if cfg.fast else 10_000_000
     lhs, rhs, ok4 = specfun.verify_dawson_simplex(
-        4, u4, specfun.QuadratureSpec(dimension=4, tolerance=1e-5 if not fast else 1e-4, qmc_points=pts, seed=seed)
+        4, u4, specfun.QuadratureSpec(
+            dimension=4, tolerance=1e-4 if cfg.fast else 1e-5, qmc_points=pts, seed=cfg.seed
+        )
     )
     checks.append(
         {"name": "dawson-simplex-n4", "pass": ok4, "detail": f"|diff|={abs(lhs-rhs):.2g} ({pts} pts)"}
@@ -344,10 +348,10 @@ def _suite_dawson(seed: int, fast: bool) -> list[dict]:
     return checks
 
 
-def _suite_mellin(seed: int, fast: bool) -> list[dict]:
+def _suite_mellin(cfg: RunConfig) -> list[dict]:
     checks = []
-    rng = np.random.default_rng(seed)
-    draws = 3 if fast else 10
+    rng = np.random.default_rng(cfg.seed)
+    draws = 3 if cfg.fast else 10
     ok = True
     worst = 0.0
     for _ in range(draws):
@@ -374,7 +378,7 @@ def _suite_mellin(seed: int, fast: bool) -> list[dict]:
     return checks
 
 
-def _suite_bell(seed: int, fast: bool) -> list[dict]:
+def _suite_bell(cfg: RunConfig) -> list[dict]:
     checks = []
 
     def partitions_count(n: int) -> int:
@@ -384,8 +388,6 @@ def _suite_bell(seed: int, fast: bool) -> list[dict]:
                 return 1
             first, tail = rest[0], rest[1:]
             total = 0
-            import itertools
-
             for k in range(len(tail) + 1):
                 for block in itertools.combinations(tail, k):
                     remaining = tuple(x for x in tail if x not in block)
@@ -394,10 +396,10 @@ def _suite_bell(seed: int, fast: bool) -> list[dict]:
 
         return rec(tuple(range(n)))
 
-    upto = 7 if fast else 9
+    upto = 7 if cfg.fast else 9
     ok = all(bell.bell_number(n) == partitions_count(n) for n in range(0, upto))
     checks.append({"name": "bell-row-sum", "pass": ok, "detail": f"n<= {upto - 1}"})
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     ok = True
     for _ in range(10):
         n = int(rng.integers(1, 8))
@@ -430,10 +432,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     report = {"seed": cfg.seed, "suites": {}}
     all_ok = True
     for name in names:
-        if name == "bridge":
-            checks = _suite_bridge(cfg.seed, cfg.fast, cfg.mc_paths, cfg.mc_grid)
-        else:
-            checks = _SUITES[name](cfg.seed, cfg.fast)
+        checks = _SUITES[name](cfg)
         for c in checks:
             # suites may report numpy booleans, which json cannot encode
             c["pass"] = bool(c["pass"])

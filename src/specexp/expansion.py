@@ -334,8 +334,7 @@ def a2M(M: int) -> SymPoly:
 def _clear_caches() -> None:
     """Forget every memo behind ``a2M`` and ``to_a_form``: the next build is cold."""
     for memo in (a2M, integrated_cell, _bell_pair, _bell_piece, _binom_general,
-                 bell.bell_template, symcore._deriv_power,
-                 symcore._a_deriv_expansion, symcore._b_deriv_expansion):
+                 bell.bell_template, symcore._deriv_power, symcore._inverse_power_deriv):
         memo.cache_clear()
     bridge._word_integral_cache.clear()
     bridge._moment_cache.clear()
@@ -405,6 +404,8 @@ def heat_trace_series(
     Time integration (and any cutoff regularization it may need) is left to
     the caller.
     """
+    if max_m < 0:
+        raise ValueError("max_m must be non-negative")
     out = []
     for M in range(0, max_m + 1):
         value = eval_numeric(a2M(M), lambda i: factor.deriv(i, t))

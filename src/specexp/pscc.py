@@ -19,7 +19,6 @@ by real then imaginary part).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -239,6 +238,30 @@ def _heat_mellin(geometry: Geometry, sigma: complex, bulk: Sequence) -> complex:
     return heat_mellin_model([(2 * M - 4, c) for M, c in enumerate(bulk)], sigma)
 
 
+def _round_scaling(string: FractalString, max_m: int, geometry: Geometry, pole_strip):
+    """What both round-scaling expansions share.
+
+    Returns the bulk products zeta_string(4-2M) c_2M for M = 0..max_m and one
+    (sigma, tilde-f(sigma), residue) triple per string pole in the strip.
+    Raises CollisionError when a pole sits on a bulk exponent (the expansion
+    hypothesis requires the string zeta regular at the integers <= 4).
+    """
+    if max_m < 0:
+        raise ValueError("max_m must be non-negative")
+    strip = pole_strip if pole_strip is not None else _default_strip(max_m)
+    poles = string_poles(string, strip)
+    _check_collisions(poles, max_m)
+    bulk = [_bulk_coefficient(geometry, M) for M in range(0, max_m + 1)]
+    products = [
+        _coeff_mul(_string_zeta_value(string, 4 - 2 * M), c2m) for M, c2m in enumerate(bulk)
+    ]
+    triples = []
+    for p in poles:
+        sigma = complex(p.sigma)
+        triples.append((sigma, _heat_mellin(geometry, sigma, bulk), p.residue))
+    return products, triples
+
+
 def round_heat_expansion(
     string: FractalString,
     max_m: int,
@@ -248,37 +271,16 @@ def round_heat_expansion(
     """Heat-trace expansion of the packed geometry under round scaling.
 
     Bulk terms tau^(2M-4) zeta_string(4-2M) c_2M plus, for every string pole
-    sigma in the strip, a term tilde-f(sigma) Res_sigma tau^(-sigma).  Raises
-    CollisionError when a pole sits on a bulk exponent (the expansion
-    hypothesis requires the string zeta regular at the integers <= 4).
+    sigma in the strip, a term tilde-f(sigma) Res_sigma tau^(-sigma).
     """
-    if max_m < 0:
-        raise ValueError("max_m must be non-negative")
-    strip = pole_strip if pole_strip is not None else _default_strip(max_m)
-    poles = string_poles(string, strip)
-    _check_collisions(poles, max_m)
-    bulk = [_bulk_coefficient(geometry, M) for M in range(0, max_m + 1)]
-    terms: list[ExpansionTerm] = []
-    for M, c2m in enumerate(bulk):
-        zval = _string_zeta_value(string, 4 - 2 * M)
+    products, triples = _round_scaling(string, max_m, geometry, pole_strip)
+    terms = [
+        ExpansionTerm(exponent=Fraction(2 * M - 4), coeff=c, kind="bulk", provenance=M)
+        for M, c in enumerate(products)
+    ]
+    for sigma, weight, residue in triples:
         terms.append(
-            ExpansionTerm(
-                exponent=Fraction(2 * M - 4),
-                coeff=_coeff_mul(zval, c2m),
-                kind="bulk",
-                provenance=M,
-            )
-        )
-    for p in poles:
-        sigma = complex(p.sigma)
-        weight = _heat_mellin(geometry, sigma, bulk)
-        terms.append(
-            ExpansionTerm(
-                exponent=-sigma,
-                coeff=weight * p.residue,
-                kind="pole",
-                provenance=sigma,
-            )
+            ExpansionTerm(exponent=-sigma, coeff=weight * residue, kind="pole", provenance=sigma)
         )
     return terms
 
@@ -315,7 +317,7 @@ def _merge_conjugate_poles(pole_terms: list[tuple[complex, complex]]):
             "amplitude": 2.0 * abs(crep),
             "a": rep.real,
             "b": rep.imag,
-            "phase": cmath.phase(crep),
+            "phase": math.atan2(crep.imag, crep.real),
         }
         out.append((rep, crep, log_periodic))
     return out
@@ -337,30 +339,22 @@ def spectral_action(
     """
     if lam <= 0:
         raise ValueError("Lambda must be positive")
-    strip = pole_strip if pole_strip is not None else _default_strip(max_m)
-    poles = string_poles(string, strip)
-    _check_collisions(poles, max_m)
-    bulk = [_bulk_coefficient(geometry, M) for M in range(0, max_m + 1)]
+    products, triples = _round_scaling(string, max_m, geometry, pole_strip)
     terms: list[ExpansionTerm] = []
-    for M, c2m in enumerate(bulk):
+    for M, zc in enumerate(products):
         alpha = 4 - 2 * M
         f_alpha = moments.f0 if alpha == 0 else moments.moment(alpha)
-        zval = _string_zeta_value(string, alpha)
-        coeff = _coeff_mul(_coeff_mul(zval, c2m), f_alpha)
         terms.append(
             ExpansionTerm(
                 exponent=Fraction(alpha),
-                coeff=coeff,
+                coeff=_coeff_mul(zc, f_alpha),
                 kind="bulk",
                 provenance=M,
             )
         )
-    pole_rows = []
-    for p in poles:
-        sigma = complex(p.sigma)
-        weight = _heat_mellin(geometry, sigma, bulk)
-        f_sigma = moments.moment(sigma)
-        pole_rows.append((sigma, weight * f_sigma * p.residue))
+    pole_rows = [
+        (sigma, weight * moments.moment(sigma) * residue) for sigma, weight, residue in triples
+    ]
     for sigma, c, log_periodic in _merge_conjugate_poles(pole_rows):
         terms.append(
             ExpansionTerm(

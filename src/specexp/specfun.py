@@ -1,9 +1,8 @@
 """Numeric special functions and the closed-form identity verification harness.
 
 dawson: scipy.special.dawsn, with the Maclaurin series on |x| <= 1.
-
-kummer_1f1: direct series with compensated summation, switching through the
-Kummer transformation exp(x) 1F1(b-a, b, -x) when Re x < 0.
+gamma_complex and kummer_1f1: mpmath (fp.gamma and hyp1f1), behind the pole
+checks that raise ZeroDivisionError.
 
 The verify_* functions check the closed-form evaluations of the simplex
 Gaussian integrals (Dawson combinations, term lists bundled as data) and the
@@ -14,7 +13,6 @@ the functions that need it, so it loads only when a verify suite runs.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -23,6 +21,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Sequence
 
+import mpmath as mp
 import numpy as np
 
 __all__ = [
@@ -91,64 +90,24 @@ def dawson(x: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# complex Gamma (Lanczos) and Kummer 1F1
+# complex Gamma and Kummer 1F1
 # ----------------------------------------------------------------------
 
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma_complex(z: complex) -> complex:
-    """Gamma on C by the Lanczos approximation with reflection for Re z < 1/2."""
+    """Gamma on C in double precision (mpmath.fp.gamma)."""
     z = complex(z)
-    if z.real < 0.5:
-        if z.imag == 0.0 and z.real == int(z.real):
-            raise ZeroDivisionError(f"Gamma pole at z = {z}")
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        s = cmath.sin(cmath.pi * z)
-        return cmath.pi / (s * gamma_complex(1.0 - z))
-    z -= 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
+        raise ZeroDivisionError(f"Gamma pole at z = {z}")
+    return complex(mp.fp.gamma(z))
 
 
 def kummer_1f1(a: complex, b: complex, x: complex) -> complex:
-    """Confluent hypergeometric 1F1(a, b, x) by series, with the Kummer
-    transformation exp(x) 1F1(b-a, b, -x) when Re x < 0."""
+    """Confluent hypergeometric 1F1(a, b, x) by mpmath.hyp1f1, which raises its
+    working precision where the plain series cancels (large imaginary x)."""
     a, b, x = complex(a), complex(b), complex(x)
     if b.imag == 0 and b.real <= 0 and b.real == int(b.real):
         raise ZeroDivisionError(f"1F1 undefined at non-positive integer b = {b}")
-    if x.real < 0:
-        return cmath.exp(x) * kummer_1f1(b - a, b, -x)
-    term = complex(1.0)
-    total = complex(1.0)
-    comp = complex(0.0)  # Kahan compensation
-    n = 0
-    while True:
-        term *= (a + n) * x / ((b + n) * (n + 1))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        n += 1
-        if n > 10 and abs(term) < 1e-17 * max(abs(total), 1e-300):
-            break
-        if n > 10_000:
-            raise RuntimeError("1F1 series did not converge")
-    return total
+    return complex(mp.hyp1f1(a, b, x))
 
 
 # ----------------------------------------------------------------------

@@ -352,43 +352,27 @@ class AFormPoly(SparsePoly):
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _a_deriv_expansion(k: int) -> AFormPoly:
-    """a-form of A^(k) = d^k/dt^k (1/a), via derivatives of composite functions."""
+def _inverse_power_deriv(p: int, k: int) -> AFormPoly:
+    """a-form of d^k/dt^k a^(-p) (A^(k) for p = 1, B^(k) for p = 2), via
+    derivatives of composite functions."""
     from . import bell  # local import: bell is carrier-generic, no cycle
 
     if k == 0:
-        return AFormPoly.a_power(-1)
-    # f(y) = 1/y evaluated at y = a: f^(m)(a) = (-1)^m m! a^(-m-1)
+        return AFormPoly.a_power(-p)
+    # f(y) = y^(-p) at y = a: f^(m)(a) = (-1)^m p(p+1)...(p+m-1) a^(-p-m)
     f_derivs = []
-    fact = 1
+    rising = 1
     for m in range(1, k + 1):
-        fact *= m
-        f_derivs.append(AFormPoly.a_power(-m - 1, Fraction((-1) ** m * fact)))
+        rising *= p + m - 1
+        f_derivs.append(AFormPoly.a_power(-p - m, Fraction((-1) ** m * rising)))
     g_derivs = [AFormPoly.deriv(i) for i in range(1, k + 1)]
     return bell.faa_di_bruno(k, f_derivs, g_derivs, one=AFormPoly.constant(1))
 
 
 @lru_cache(maxsize=None)
-def _b_deriv_expansion(k: int) -> AFormPoly:
-    """a-form of B^(k) = d^k/dt^k (1/a^2)."""
-    from . import bell
-
-    if k == 0:
-        return AFormPoly.a_power(-2)
-    # f(y) = 1/y^2: f^(m)(a) = (-1)^m (m+1)! a^(-m-2)
-    f_derivs = []
-    fact = 1
-    for m in range(1, k + 1):
-        fact *= m + 1
-        f_derivs.append(AFormPoly.a_power(-m - 2, Fraction((-1) ** m * fact)))
-    g_derivs = [AFormPoly.deriv(i) for i in range(1, k + 1)]
-    return bell.faa_di_bruno(k, f_derivs, g_derivs, one=AFormPoly.constant(1))
-
-
-@lru_cache(maxsize=None)
-def _deriv_power(b: bool, i: int, e: int) -> AFormPoly:
-    """a-form of (B^(i))^e when ``b``, else of (A^(i))^e."""
-    return (_b_deriv_expansion(i) if b else _a_deriv_expansion(i)) ** e
+def _deriv_power(p: int, i: int, e: int) -> AFormPoly:
+    """a-form of (d^i/dt^i a^(-p))^e: (A^(i))^e for p = 1, (B^(i))^e for p = 2."""
+    return _inverse_power_deriv(p, i) ** e
 
 
 def to_a_form(p: SymPoly) -> AFormPoly:
@@ -401,9 +385,9 @@ def to_a_form(p: SymPoly) -> AFormPoly:
     for mono, coeff in p.terms.items():
         term = one
         for i, e in mono.a_exp:
-            term = term * _deriv_power(False, i, e)
+            term = term * _deriv_power(1, i, e)
         for i, e in mono.b_exp:
-            term = term * _deriv_power(True, i, e)
+            term = term * _deriv_power(2, i, e)
         # B^(b_half/2) -> a^(-b_half): a shift of every a-power
         for (a_pow, dexp), c in term.terms.items():
             _acc(out, (a_pow - mono.b_half, dexp), c * coeff)

@@ -200,14 +200,29 @@ class TestWorkerCount:
         assert code == cli.EXIT_VALIDATION and "SPECEXP_THREADS" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--family", "matter", "--maxM", "-1"],
+        ["pscc", "--string", "ford", "--maxM", "-1"],
+        ["pscc", "--string", "ford", "--mode", "heat", "--maxM", "-1"],
+    ],
+    ids=["eval", "pscc-action", "pscc-heat"],
+)
+def test_negative_max_m_is_validation_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_VALIDATION and out == "" and "max_m" in err
+
+
 def test_coeff_and_eval_do_not_import_scipy():
-    # scipy serves only the verify suites; the exact commands must not load it
+    # scipy serves only the verify suites; coeff, eval and pscc must not load it
     src = Path(__file__).resolve().parents[1] / "src"
     script = (
         "import sys, specexp\n"
         "from specexp import cli\n"
         "assert cli.main(['coeff', '--order', '2']) == 0\n"
         "assert cli.main(['eval', '--family', 'matter', '--maxM', '4']) == 0\n"
+        "assert cli.main(['pscc', '--string', 'ford', '--geometry', 's4', '--maxM', '2']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
