@@ -137,9 +137,16 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 # coeff
 # ----------------------------------------------------------------------
 
+_REFERENCE_FILES = ("reference_coefficients.json", "reference_coefficients_high.json")
+
+
 def _reference_tables() -> dict:
-    raw = resources.files("specexp").joinpath("data/reference_coefficients.json").read_text()
-    return json.loads(raw)
+    """Bundled a_2M in both forms, keyed by the order 2M as a string."""
+    data = resources.files("specexp").joinpath("data")
+    tables: dict = {}
+    for name in _REFERENCE_FILES:
+        tables.update(json.loads(data.joinpath(name).read_text()))
+    return tables
 
 
 def cmd_coeff(cfg: RunConfig) -> int:

@@ -97,28 +97,31 @@ class TestFunctionMoments:
     sign-normalized derivative value for negative even integers.
     """
 
-    f0: float
-    moment: Callable[[complex], complex]
+    f0: float | int
+    moment: Callable[[complex], complex | Fraction]
 
 
 def gaussian_test_function() -> TestFunctionMoments:
-    """Moments of f(x) = exp(-x^2): f_alpha = Gamma(alpha/2)/2 for Re alpha > 0."""
+    """Moments of f(x) = exp(-x^2): f_alpha = Gamma(alpha/2)/2 for Re alpha > 0.
 
-    def moment(alpha: complex) -> complex:
+    At positive even alpha the moment is the exact Fraction (alpha/2 - 1)!/2,
+    so bulk rows built from exact zeta values stay exact.
+    """
+
+    def moment(alpha: complex) -> complex | Fraction | float:
         alpha = complex(alpha)
         if alpha == 0:
-            return 1.0
+            return 1
+        if alpha.imag == 0 and alpha.real.is_integer() and alpha.real % 2 == 0:
+            n = int(alpha.real) // 2
+            if n > 0:
+                return Fraction(math.factorial(n - 1), 2)
+            return float(math.factorial(-2 * n) // math.factorial(-n))
         if alpha.imag == 0 and alpha.real < 0:
-            a = alpha.real
-            if a == int(a) and int(a) % 2 == 0:
-                j = -int(a) // 2
-                return float(
-                    math.factorial(2 * j) // math.factorial(j)
-                )
             raise ValueError("negative moments defined at even integers only")
         return gamma_complex(alpha / 2.0) / 2.0
 
-    return TestFunctionMoments(f0=1.0, moment=moment)
+    return TestFunctionMoments(f0=1, moment=moment)
 
 
 # ----------------------------------------------------------------------

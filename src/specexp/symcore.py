@@ -15,12 +15,18 @@ at even letter degree, where they are rational.  The other carriers are
 assembly).  All are canonical, so structural equality is mathematical
 equality.
 
+``to_a_form`` substitutes A = 1/a, B = 1/a^2 by a multivariate Horner
+scheme over memoised images of A^(k) and B^(k), each the formal derivative
+of the one of order k - 1.  ``AFormPoly.eval`` sums with ``math.fsum``, so a
+value does not depend on the order in which the terms were built.
+
 All values are immutable after construction and every operation is a pure
 function; instances can be shared freely between threads.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -310,7 +316,8 @@ class AFormPoly(SparsePoly):
 
     @staticmethod
     def _mono_mul(m1, m2):
-        return (m1[0] + m2[0], _normalize_exp(m1[1] + m2[1]))
+        d1, d2 = m1[1], m2[1]
+        return (m1[0] + m2[0], _normalize_exp(d1 + d2) if d1 and d2 else d1 or d2)
 
     @staticmethod
     def a_power(n: int, coeff=1) -> "AFormPoly":
@@ -331,17 +338,21 @@ class AFormPoly(SparsePoly):
         return AFormPoly._wrap(out)
 
     def eval(self, derivs: Callable[[int], float]) -> float:
-        """Numeric evaluation; derivs(i) must return a^(i)(t), derivs(0) = a(t)."""
+        """Numeric evaluation; derivs(i) must return a^(i)(t), derivs(0) = a(t).
+
+        The term values are summed by ``math.fsum``, correctly rounded, so
+        the result does not depend on the order of the terms.
+        """
         a0 = derivs(0)
-        total = 0.0
+        values = []
         for (a_pow, dexp), coeff in self.terms.items():
             if a_pow < 0 and a0 == 0.0:
                 raise ZeroDivisionError("a(t) = 0 at the evaluation point")
             val = float(coeff) * (a0 ** a_pow if a_pow >= 0 else (1.0 / a0) ** (-a_pow))
             for i, e in dexp:
                 val *= derivs(i) ** e
-            total += val
-        return total
+            values.append(val)
+        return math.fsum(values)
 
     def __repr__(self):
         return f"AFormPoly({aform_to_text(self)!r})"
@@ -353,20 +364,11 @@ class AFormPoly(SparsePoly):
 
 @lru_cache(maxsize=None)
 def _inverse_power_deriv(p: int, k: int) -> AFormPoly:
-    """a-form of d^k/dt^k a^(-p) (A^(k) for p = 1, B^(k) for p = 2), via
-    derivatives of composite functions."""
-    from . import bell  # local import: bell is carrier-generic, no cycle
-
+    """a-form of d^k/dt^k a^(-p) (A^(k) for p = 1, B^(k) for p = 2), each
+    order the formal derivative of the one below."""
     if k == 0:
         return AFormPoly.a_power(-p)
-    # f(y) = y^(-p) at y = a: f^(m)(a) = (-1)^m p(p+1)...(p+m-1) a^(-p-m)
-    f_derivs = []
-    rising = 1
-    for m in range(1, k + 1):
-        rising *= p + m - 1
-        f_derivs.append(AFormPoly.a_power(-p - m, Fraction((-1) ** m * rising)))
-    g_derivs = [AFormPoly.deriv(i) for i in range(1, k + 1)]
-    return bell.faa_di_bruno(k, f_derivs, g_derivs, one=AFormPoly.constant(1))
+    return _inverse_power_deriv(p, k - 1).differentiate()
 
 
 @lru_cache(maxsize=None)
@@ -375,22 +377,48 @@ def _deriv_power(p: int, i: int, e: int) -> AFormPoly:
     return _inverse_power_deriv(p, i) ** e
 
 
+def _horner_into(out: dict, items: list) -> None:
+    """Add to ``out`` the a-form of the sum of coeff * B^(b_half/2) * factors
+    over ``items`` = [(factors, b_half, coeff)], where factors lists the
+    symbols d^i/dt^i a^(-p) of a monomial as (i, p, e) in descending (i, p)."""
+    groups: dict[tuple, list] = {}
+    for factors, b_half, coeff in items:
+        if factors:
+            groups.setdefault(factors[0], []).append((factors[1:], b_half, coeff))
+        else:
+            # the leaf: B^(b_half/2) -> a^(-b_half)
+            _acc(out, (-b_half, ()), coeff)
+    mono_mul = AFormPoly._mono_mul
+    for (i, p, e), group in groups.items():
+        inner: dict = {}
+        _horner_into(inner, group)
+        image = _deriv_power(p, i, e).terms.items()
+        for m1, c1 in inner.items():
+            for m2, c2 in image:
+                _acc(out, mono_mul(m1, m2), c1 * c2)
+
+
 def to_a_form(p: SymPoly) -> AFormPoly:
     """Substitute A = 1/a, B = 1/a^2 and expand all derivative symbols.
 
-    B^(1/2) maps to 1/a, so half powers of B are always legal.
+    A multivariate Horner scheme: the monomials are grouped by their
+    highest-derivative factor (symbol and exponent), each group's remainders
+    are substituted recursively and summed, and only that sum is multiplied
+    by the factor's memoised image ``_deriv_power``.  The images come from
+    repeated formal differentiation of 1/a and 1/a^2.  B^(b_half/2) maps to
+    a^(-b_half) at the leaves, so half powers of B are always legal.
     """
+    items = [
+        (
+            tuple(sorted([(i, 1, e) for i, e in mono.a_exp]
+                         + [(i, 2, e) for i, e in mono.b_exp], reverse=True)),
+            mono.b_half,
+            coeff,
+        )
+        for mono, coeff in p.terms.items()
+    ]
     out: dict = {}
-    one = AFormPoly.one()
-    for mono, coeff in p.terms.items():
-        term = one
-        for i, e in mono.a_exp:
-            term = term * _deriv_power(1, i, e)
-        for i, e in mono.b_exp:
-            term = term * _deriv_power(2, i, e)
-        # B^(b_half/2) -> a^(-b_half): a shift of every a-power
-        for (a_pow, dexp), c in term.terms.items():
-            _acc(out, (a_pow - mono.b_half, dexp), c * coeff)
+    _horner_into(out, items)
     return AFormPoly._wrap(out)
 
 

@@ -44,6 +44,13 @@ class TestCoeff:
         )
         assert code == 0 and "order 10: matches" in out
 
+    @pytest.mark.parametrize("order", ["6", "7"])
+    def test_check_golden_a12_a14(self, capsys, order):
+        code, out, _ = run(
+            capsys, "coeff", "--order", order, "--max-order", "7", "--check-golden"
+        )
+        assert code == 0 and f"order {2 * int(order)}: matches" in out
+
     def test_check_golden_mismatch_exit_code(self, capsys, monkeypatch):
         tampered = {
             "2": {

@@ -124,6 +124,19 @@ class TestSpectralAction:
         assert abs(rows[1] - 0.5 * float(pscc.s4_heat_coefficient(1))) < 1e-14
         assert abs(rows[2] - 1.0 * float(pscc.s4_heat_coefficient(2))) < 1e-14
 
+    def test_exact_gaussian_moments_keep_s4_bulk_rows_exact(self):
+        g = pscc.gaussian_test_function()
+        assert g.f0 == 1 and g.moment(0) == 1
+        for alpha, want in ((2, Fraction(1, 2)), (4, Fraction(1, 2)), (6, Fraction(1)), (8, Fraction(3))):
+            assert type(g.moment(alpha)) is Fraction and g.moment(alpha) == want
+        terms = pscc.spectral_action(zt.FordString(), g, 100.0, 2, pscc.S4Geometry())
+        heat = pscc.round_heat_expansion(zt.FordString(), 2, pscc.S4Geometry())
+        bulk = [t for t in terms if t.kind == "bulk"]
+        heat_bulk = [t for t in heat if t.kind == "bulk"]
+        assert len(bulk) == 3 and all(isinstance(t.coeff, zt.ExactToken) for t in bulk)
+        for row, heat_row in zip(bulk, heat_bulk):
+            assert row.coeff == heat_row.coeff * g.moment(4 - 2 * row.provenance)
+
     def test_ford_log_periodic_merge(self):
         terms = pscc.spectral_action(
             zt.FordString(), pscc.gaussian_test_function(), 100.0, 2, pscc.S4Geometry()

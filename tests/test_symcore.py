@@ -1,10 +1,12 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specexp import bridge
+from specexp import bell, bridge
+from specexp import expansion as ex
 from specexp import symcore as sc
 from specexp.expansion import _UVTerms
 
@@ -134,8 +136,8 @@ small_rat = st.fractions(
 
 
 @st.composite
-def monomials(draw):
-    b_half = draw(st.integers(min_value=-7, max_value=7))
+def monomials(draw, nonzero_b_half=False):
+    b_half = draw(st.integers(min_value=-7, max_value=7).filter(lambda h: h or not nonzero_b_half))
     a_exp = draw(
         st.dictionaries(st.integers(1, 3), st.integers(1, 2), max_size=2)
     )
@@ -146,11 +148,11 @@ def monomials(draw):
 
 
 @st.composite
-def sympolys(draw):
+def sympolys(draw, nonzero_b_half=False):
     n = draw(st.integers(0, 3))
     terms = {}
     for _ in range(n):
-        terms[draw(monomials())] = draw(small_rat)
+        terms[draw(monomials(nonzero_b_half))] = draw(small_rat)
     return sc.SymPoly(terms)
 
 
@@ -176,6 +178,37 @@ def test_differentiation_commutes_with_substitution(p):
     lhs = sc.to_a_form(sc.differentiate(p))
     rhs = sc.to_a_form(p).differentiate()
     assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(sympolys(nonzero_b_half=True), sympolys(nonzero_b_half=True))
+def test_substitution_is_a_ring_homomorphism(p, q):
+    assert sc.to_a_form(p * q) == sc.to_a_form(p) * sc.to_a_form(q)
+    assert sc.to_a_form(p + q) == sc.to_a_form(p) + sc.to_a_form(q)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_inverse_power_images_match_faa_di_bruno(p):
+    # d^k/dt^k f(a(t)) with f(y) = y^(-p): f^(m)(y) = (-1)^m p(p+1)...(p+m-1) y^(-p-m)
+    g_derivs = [sc.AFormPoly.deriv(i) for i in range(1, 9)]
+    for k in range(1, 9):
+        f_derivs = [
+            sc.AFormPoly.a_power(-p - m, (-1) ** m * math.prod(range(p, p + m)))
+            for m in range(1, k + 1)
+        ]
+        want = bell.faa_di_bruno(k, f_derivs, g_derivs, one=sc.AFormPoly.one())
+        assert sc._inverse_power_deriv(p, k) == want, (p, k)
+
+
+def test_aform_eval_independent_of_term_order():
+    # the terms of a_8 cancel, so a plain left-to-right sum depends on their order
+    aform = sc.to_a_form(ex.a2M(4))
+    reordered = sc.AFormPoly(dict(reversed(list(aform.terms.items()))))
+    assert list(reordered.terms) != list(aform.terms) and reordered == aform
+    sphere = ex.scale_factor("sphere")
+    for t in (0.3, 1.7, 2.9):
+        derivs = lambda i: sphere.deriv(i, t)
+        assert reordered.eval(derivs) == aform.eval(derivs), t
 
 
 # every carrier of the package is a SparsePoly; one sample element of each
