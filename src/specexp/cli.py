@@ -5,10 +5,11 @@ bundled reference tables), ``eval`` (cosmology tables for the named expansion
 factors), ``pscc`` (packed-sphere expansions and the reconciliation report),
 and ``verify`` (numeric identity suites with machine-readable reports).
 
-Exit codes: 0 success, 2 validation error, 3 reference-table mismatch,
-4 numeric verification failure.  A flat key=value config file can provide
-defaults for any long option; explicit flags win.  SPECEXP_THREADS caps the
-worker count used by the Monte Carlo and QMC internals.
+Exit codes: 0 success, 2 validation error (bad input, or a float evaluation
+outside the double range), 3 reference-table mismatch, 4 numeric verification
+failure.  A flat key=value config file can provide defaults for any long
+option; explicit flags win.  SPECEXP_THREADS caps the worker count used by the
+Monte Carlo internals.
 """
 
 from __future__ import annotations
@@ -335,7 +336,7 @@ def _suite_dawson(cfg: RunConfig) -> list[dict]:
         for _ in range(draws):
             u = rng.uniform(0.3, 2.0, n)
             lhs, rhs, good = specfun.verify_dawson_simplex(
-                n, u, specfun.QuadratureSpec(dimension=n, tolerance=1e-9)
+                n, u, specfun.QuadratureSpec(tolerance=1e-9)
             )
             worst = max(worst, abs(lhs - rhs))
             ok = ok and good
@@ -343,14 +344,11 @@ def _suite_dawson(cfg: RunConfig) -> list[dict]:
             {"name": f"dawson-simplex-n{n}", "pass": ok, "detail": f"worst |diff| {worst:.2g}"}
         )
     u4 = rng.uniform(0.3, 2.0, 4)
-    pts = 1_000_000 if cfg.fast else 10_000_000
     lhs, rhs, ok4 = specfun.verify_dawson_simplex(
-        4, u4, specfun.QuadratureSpec(
-            dimension=4, tolerance=1e-4 if cfg.fast else 1e-5, qmc_points=pts, seed=cfg.seed
-        )
+        4, u4, specfun.QuadratureSpec(tolerance=1e-4 if cfg.fast else 1e-5)
     )
     checks.append(
-        {"name": "dawson-simplex-n4", "pass": ok4, "detail": f"|diff|={abs(lhs-rhs):.2g} ({pts} pts)"}
+        {"name": "dawson-simplex-n4", "pass": ok4, "detail": f"|diff|={abs(lhs-rhs):.2g}"}
     )
     return checks
 
@@ -527,7 +525,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (zeta.PoleError, ValueError) as exc:
+    except (zeta.PoleError, ValueError, symcore.FloatRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -4,11 +4,14 @@ dawson: scipy.special.dawsn, with the Maclaurin series on |x| <= 1.
 gamma_complex and kummer_1f1: mpmath (fp.gamma and hyp1f1), behind the pole
 checks that raise ZeroDivisionError.
 
-The verify_* functions check the closed-form evaluations of the simplex
-Gaussian integrals (Dawson combinations, term lists bundled as data) and the
-Mellin-transform/Kummer identities against adaptive quadrature, returning
-(lhs, rhs, passed) so callers can report both sides.  scipy is imported inside
-the functions that need it, so it loads only when a verify suite runs.
+The verify_* functions check closed forms against numeric integrals and
+return (lhs, rhs, passed) so callers can report both sides.  The simplex
+Gaussian integrals (Dawson combinations, term lists bundled as data) are
+checked against one tensor Gauss-Legendre rule in numpy (its error against u
+is given at verify_dawson_simplex), the Mellin-transform/Kummer identities
+against scipy's adaptive quad.  scipy.integrate and scipy.special are imported
+inside the functions that need them, so they load only when a verify suite
+runs; nothing loads scipy.stats.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import Sequence
@@ -42,17 +44,15 @@ __all__ = [
 
 SQRT2 = math.sqrt(2.0)
 SQRT_PI = math.sqrt(math.pi)
+GAUSS_NODES = 24  # Gauss-Legendre nodes per axis of the simplex rule
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Controls for the verification quadratures."""
 
-    dimension: int = 1
     tolerance: float = 1e-10
     max_subdivisions: int = 60
-    seed: int = 0
-    qmc_points: int = 10_000_000
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -158,62 +158,25 @@ def _bridge_forms(u: Sequence[float]) -> tuple[list[float], list[float]]:
     return w, u
 
 
-def _simplex_quad_nested(u: Sequence[float], n: int, tol: float, limit: int) -> float:
-    """Adaptive nested quadrature of exp(-quadratic) over the ordered simplex.
+def _simplex_gauss(u: Sequence[float]) -> float:
+    """Tensor Gauss-Legendre rule, GAUSS_NODES per axis, of exp(-quadratic) over
+    the ordered simplex.
 
     Substitution v_k = prod_{j>=k} z_j maps the cube onto the simplex with
-    jacobian prod_k z_k^(k-1).
+    jacobian prod_k z_k^(k-1); the integrand is analytic on the cube, so the
+    rule converges exponentially in the node count.
     """
-    from scipy import integrate
-
+    x, wx = np.polynomial.legendre.leggauss(GAUSS_NODES)
+    z, wz = 0.5 * (x + 1.0), 0.5 * wx
     w, u = _bridge_forms(u)
-
-    def integrand(z: tuple[float, ...]) -> float:
-        v = 1.0
-        jac = 1.0
-        lin_w = 0.0
-        lin_u = 0.0
-        for k in range(n - 1, -1, -1):
-            v *= z[k]
-            jac *= z[k] ** k
-            lin_w += w[k] * v
-            lin_u += u[k] * v
-        return jac * math.exp(-0.5 * (lin_w - lin_u * lin_u))
-
-    def level(k: int, coords: tuple[float, ...]) -> float:
-        if k == n:
-            return integrand(coords)
-        val, _ = integrate.quad(
-            lambda t: level(k + 1, coords + (t,)),
-            0.0,
-            1.0,
-            epsabs=tol,
-            epsrel=tol,
-            limit=limit,
-        )
-        return val
-
-    return level(0, ())
-
-
-def _simplex_quad_qmc(u: Sequence[float], n: int, n_points: int, seed: int) -> float:
-    """Quasi-Monte-Carlo integral over the ordered simplex (sorted Sobol points)."""
-    from scipy.stats import qmc
-
-    coef = np.array(_bridge_forms(u)).T
-    sampler = qmc.Sobol(d=n, scramble=True, seed=seed)
-    remaining = n_points
-    total = 0.0
-    count = 0
-    block = 1 << 19
-    while remaining > 0:
-        take = min(block, remaining)
-        pts = np.sort(sampler.random(take), axis=1)
-        lin = pts @ coef
-        total += float(np.exp(-0.5 * (lin[:, 0] - lin[:, 1] ** 2)).sum())
-        count += take
-        remaining -= take
-    return total / count / math.factorial(n)
+    v = weight = np.ones(1)
+    lin_w = lin_u = np.zeros(1)
+    for k in range(len(u) - 1, -1, -1):
+        v = np.multiply.outer(v, z).ravel()
+        weight = np.multiply.outer(weight, wz * z**k).ravel()
+        lin_w = np.repeat(lin_w, GAUSS_NODES) + w[k] * v
+        lin_u = np.repeat(lin_u, GAUSS_NODES) + u[k] * v
+    return float(weight @ np.exp(-0.5 * (lin_w - lin_u * lin_u)))
 
 
 def verify_dawson_simplex(
@@ -221,8 +184,11 @@ def verify_dawson_simplex(
 ) -> tuple[float, float, bool]:
     """Compare quadrature and Dawson closed form of the simplex Gaussian integral.
 
-    n in {1,2,3} uses nested adaptive rules; n = 4 uses scrambled-Sobol QMC
-    with quad.qmc_points samples.  Requires all consecutive partial sums of u
+    One tensor Gauss-Legendre rule (GAUSS_NODES^n points, numpy only, no
+    scipy.stats) serves n = 1..4.  Measured against the closed form, the
+    difference is at most 3e-13 for u_k in [0.25, 2.2] (the closed form's own
+    rounding at small u), 7e-12 for u_k <= 5 and 1e-8 for u_k <= 10: the
+    integrand sharpens as u grows.  Requires all consecutive partial sums of u
     to stay away from zero (they appear as denominators).
     """
     if n not in (1, 2, 3, 4):
@@ -230,15 +196,12 @@ def verify_dawson_simplex(
     if len(u) != n:
         raise ValueError(f"u must have {n} components")
     if quad is None:
-        quad = QuadratureSpec(dimension=n, tolerance=1e-9 if n < 4 else 1e-5)
+        quad = QuadratureSpec(tolerance=1e-9)
     for i in range(n):
         for j in range(i, n):
             if abs(sum(u[i : j + 1])) < 1e-9:
                 raise ValueError(f"degenerate u: interval sum u_{i+1}..u_{j+1} vanishes")
-    if n <= 3:
-        lhs = _simplex_quad_nested(u, n, min(quad.tolerance / 10, 1e-11), quad.max_subdivisions)
-    else:
-        lhs = _simplex_quad_qmc(u, n, quad.qmc_points, quad.seed)
+    lhs = _simplex_gauss(u)
     rhs = dawson_simplex_closed_form(n, u)
     return lhs, rhs, abs(lhs - rhs) <= quad.tolerance
 

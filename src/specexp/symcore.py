@@ -18,7 +18,8 @@ equality.
 ``to_a_form`` substitutes A = 1/a, B = 1/a^2 by a multivariate Horner
 scheme over memoised images of A^(k) and B^(k), each the formal derivative
 of the one of order k - 1.  ``AFormPoly.eval`` sums with ``math.fsum``, so a
-value does not depend on the order in which the terms were built.
+value does not depend on the order in which the terms were built, and raises
+``FloatRangeError`` where a value leaves the double range.
 
 All values are immutable after construction and every operation is a pure
 function; instances can be shared freely between threads.
@@ -36,6 +37,7 @@ __all__ = [
     "SparsePoly",
     "SymPoly",
     "AFormPoly",
+    "FloatRangeError",
     "differentiate",
     "to_a_form",
     "eval_numeric",
@@ -48,6 +50,12 @@ __all__ = [
     "aform_to_json",
     "aform_from_json",
 ]
+
+
+class FloatRangeError(OverflowError):
+    """A float evaluation left the double range: a derivative value, a power or
+    a product overflowed, or the terms summed to inf - inf."""
+
 
 def _acc(out: dict, key, coeff) -> None:
     """out[key] += coeff, dropping the key when the sum is zero."""
@@ -341,18 +349,29 @@ class AFormPoly(SparsePoly):
         """Numeric evaluation; derivs(i) must return a^(i)(t), derivs(0) = a(t).
 
         The term values are summed by ``math.fsum``, correctly rounded, so
-        the result does not depend on the order of the terms.
+        the result does not depend on the order of the terms.  A value or a
+        sum outside the double range raises ``FloatRangeError``.
         """
-        a0 = derivs(0)
         values = []
-        for (a_pow, dexp), coeff in self.terms.items():
-            if a_pow < 0 and a0 == 0.0:
-                raise ZeroDivisionError("a(t) = 0 at the evaluation point")
-            val = float(coeff) * (a0 ** a_pow if a_pow >= 0 else (1.0 / a0) ** (-a_pow))
-            for i, e in dexp:
-                val *= derivs(i) ** e
-            values.append(val)
-        return math.fsum(values)
+        try:
+            a0 = derivs(0)
+            for (a_pow, dexp), coeff in self.terms.items():
+                if a_pow < 0 and a0 == 0.0:
+                    raise ZeroDivisionError("a(t) = 0 at the evaluation point")
+                val = float(coeff) * (a0 ** a_pow if a_pow >= 0 else (1.0 / a0) ** (-a_pow))
+                for i, e in dexp:
+                    val *= derivs(i) ** e
+                values.append(val)
+        except OverflowError as exc:
+            raise FloatRangeError("a(t), a derivative or a power of them overflows "
+                                  "the float range at the evaluation point") from exc
+        try:
+            total = math.fsum(values)
+        except (OverflowError, ValueError) as exc:
+            raise FloatRangeError(f"the a-form terms do not sum in floats: {exc}") from exc
+        if math.isinf(total):  # a product of finite factors overflowed
+            raise FloatRangeError("the a-form value overflows the float range")
+        return total
 
     def __repr__(self):
         return f"AFormPoly({aform_to_text(self)!r})"

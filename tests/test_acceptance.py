@@ -141,21 +141,17 @@ def test_criterion_6_dawson_identities():
         for _ in range(20):
             u = rng.uniform(0.25, 2.2, n)
             lhs, rhs, ok = sf.verify_dawson_simplex(
-                n, u, sf.QuadratureSpec(dimension=n, tolerance=1e-9)
+                n, u, sf.QuadratureSpec(tolerance=1e-9)
             )
             assert ok, (n, list(u), lhs, rhs)
-    for k in range(5):
+    for _ in range(5):
         u = rng.uniform(0.25, 2.2, 4)
-        lhs, rhs, ok = sf.verify_dawson_simplex(
-            4,
-            u,
-            sf.QuadratureSpec(dimension=4, tolerance=1e-5, qmc_points=10_000_000, seed=k),
-        )
+        lhs, rhs, ok = sf.verify_dawson_simplex(4, u, sf.QuadratureSpec(tolerance=1e-5))
         assert ok, (list(u), lhs, rhs, abs(lhs - rhs))
     dt = time.perf_counter() - t0
     assert dt < 600.0
     _report(6, f"Dawson simplex identities pass: 20 draws each for n=1..3 at 1e-9, "
-               f"5 draws for n=4 at 1e-5 with 1e7 QMC points ({dt:.1f}s)")
+               f"5 draws for n=4 at 1e-5, one Gauss-Legendre rule ({dt:.1f}s)")
 
 
 def test_criterion_7_mellin_kummer_identities():

@@ -109,6 +109,14 @@ class TestEval:
         )
         assert code == cli.EXIT_VALIDATION
 
+    def test_float_overflow_is_validation_error(self, capsys):
+        # t^(1/2 - i) leaves the double range in the derivatives of a(t)
+        code, out, err = run(
+            capsys, "eval", "--family", "radiation", "--t", "1e-60", "--maxM", "4"
+        )
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestPscc:
     def test_two_ball_no_pole_rows(self, capsys, tmp_path):
@@ -238,6 +246,23 @@ def test_coeff_and_eval_do_not_import_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_verify_does_not_import_scipy_stats():
+    # the Dawson checks use a numpy Gauss-Legendre rule, not scipy's QMC
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "from specexp import cli\n"
+        "code = cli.main(['verify', '--suite', 'all', '--fast'])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 class TestConfig:

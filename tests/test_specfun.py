@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import mpmath as mp
@@ -159,11 +160,30 @@ class TestDawsonSimplex:
         with pytest.raises(ValueError):
             sf.verify_dawson_simplex(2, [1.0, -1.0])
 
-    @pytest.mark.slow
-    def test_n4_qmc(self):
-        spec = sf.QuadratureSpec(dimension=4, tolerance=1e-5, qmc_points=2_000_000, seed=5)
+    def test_n4_gauss(self):
+        spec = sf.QuadratureSpec(tolerance=1e-5)
         lhs, rhs, ok = sf.verify_dawson_simplex(4, [1.1, 0.6, 1.4, 0.8], spec)
         assert ok, (lhs, rhs)
+
+    @pytest.mark.parametrize("hi, bound", [(2.2, 1e-12), (5.0, 1e-11)])
+    def test_gauss_rule_matches_closed_form(self, hi, bound):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 4):
+            draws = [rng.uniform(0.25, hi, n) for _ in range(20)] + [[hi] * n]
+            for u in draws:
+                lhs, rhs, _ = sf.verify_dawson_simplex(n, u)
+                assert abs(lhs - rhs) <= bound, (n, list(u), lhs - rhs)
+
+    def test_perturbed_n4_term_is_caught(self, monkeypatch):
+        # a 1e-6 relative error in one closed-form coefficient at n = 4
+        terms = json.loads(json.dumps(sf._dawson_terms()))
+        terms["4"][0]["coeff"] *= 1 + 1e-6
+        monkeypatch.setattr(sf, "_dawson_terms", lambda: terms)
+        u = [1.1, 0.6, 1.4, 0.8]
+        lhs, rhs, ok = sf.verify_dawson_simplex(4, u, sf.QuadratureSpec(tolerance=1e-9))
+        assert not ok, (lhs, rhs)
+        monkeypatch.undo()
+        assert sf.verify_dawson_simplex(4, u, sf.QuadratureSpec(tolerance=1e-9))[2]
 
 
 class TestGaussianMultiplicity:

@@ -211,6 +211,19 @@ def test_aform_eval_independent_of_term_order():
         assert reordered.eval(derivs) == aform.eval(derivs), t
 
 
+@pytest.mark.parametrize("derivs", [
+    lambda i: 1e200 if i == 0 else 1.0,            # a^2 overflows in the power
+    lambda i: 1.0 if i == 0 else 1e-60 ** -5.5,    # the callback overflows
+    lambda i: math.inf if i == 0 else 1.0,         # a^2 - a^2 a' gives inf - inf
+    lambda i: 1.0 if i == 0 else 1e200,            # the product a^2 a' a'' overflows
+])
+def test_aform_eval_out_of_float_range_is_typed(derivs):
+    aform = sc.AFormPoly({(2, ()): Fraction(1), (2, ((1, 1),)): Fraction(-1),
+                          (2, ((1, 1), (2, 1))): Fraction(1)})
+    with pytest.raises(sc.FloatRangeError):
+        aform.eval(derivs)
+
+
 # every carrier of the package is a SparsePoly; one sample element of each
 CARRIERS = {
     "VPoly": lambda: bridge.VPoly.var(1) * Fraction(1, 2) + bridge.VPoly.var(3),
