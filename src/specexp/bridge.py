@@ -10,21 +10,19 @@ word -> Fraction.  A MomentSpec maps a letter i to its multiplicity m_i and
 describes the functional  prod_i x_i(alpha)^(m_i)  with x_k(alpha) the k-th
 power path integral of alpha.
 
-Word integrals and moments come from one exact left-to-right Wick dynamic
-program (``_wick_program``): points are placed in increasing order, the state
-is (letters still to place, covariance legs left open) and its value is an
-integer polynomial in the current point, so the cost is polynomial in the
-word length instead of exponential in the Wick configurations.  For a word
-the next letter is forced (``monomial_simplex_integral``); for a moment spec
-any remaining letter may come next (``moment_product``).  The independent
-oracle route enumerates the Wick configurations as a polynomial in the
-simplex variables (``monomial_bridge_polynomial``) and integrates it term by
-term (``simplex_integrate``); ``mc_estimate`` is the Monte Carlo oracle.
+Word integrals and moments come from one exact backward Wick recursion,
+``_wick``: G(rest, open)(u) integrates the letters of ``rest`` over increasing
+points in [0, u] while ``open`` covariance legs wait from points above u.  It
+depends on nothing else, so one memo serves every word, spec, cell and order;
+it holds integer coefficients in the divided-power basis u^k/k!, so the only
+division is at u = 1.  The independent oracle route enumerates the Wick
+configurations as a polynomial in the simplex variables
+(``monomial_bridge_polynomial``) and integrates it term by term
+(``simplex_integrate``); ``mc_estimate`` is the Monte Carlo oracle.
 
-Memo caches (word integrals, moment products) are append-only with
-deterministic values, so concurrent readers are safe; MC paths are seeded per
-chunk by counter, making results independent of how chunks are distributed
-over workers.
+The memos are ``lru_cache``s of immutable, deterministic values, so concurrent
+readers are safe; MC paths are seeded per chunk by counter, making results
+independent of how chunks are distributed over workers.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -52,6 +50,7 @@ __all__ = [
     "moment_product",
     "x1_even_moment",
     "mc_estimate",
+    "mc_estimate_many",
 ]
 
 Word = tuple[int, ...]
@@ -253,82 +252,85 @@ def monomial_bridge_polynomial(I: Sequence[int]) -> VPoly:
 
 
 @lru_cache(maxsize=None)
-def _placement_kernels(i: int, open_legs: int) -> tuple:
-    """Wick placements of a point with i legs while ``open_legs`` legs wait.
+def _kernels(i: int, open_legs: int) -> tuple:
+    """Wick placements of a point x with i legs below ``open_legs`` waiting legs.
 
     The i legs split into d self-pairs, c legs closing waiting legs and o
-    legs opening new ones (2d + c + o = i).  A self-pair contributes
-    u(1-u), a closing leg (1-u) and an opening leg u, where u is the point;
-    the waiting legs carried their earlier point's factor already.  The
-    count of such placements is i!/(2^d d! c! o!) * open!/(open-c)!.
+    legs opening downward (2d + c + o = i).  A self-pair contributes
+    x(1-x), a closing leg x and an opening leg (1-x); the waiting legs
+    carried their upper point's factor already.  The count of such
+    placements is i!/(2^d d! c! o!) * open!/(open-c)!.
 
-    Returns (new_open, low, coeffs): the placements with the same number of
-    legs left open, summed into the integer polynomial
-    u^low * sum_k coeffs[k] u^k.
+    Returns (new_open, coeffs) pairs in increasing new_open: the placements
+    that leave the same number of legs open, summed into the integer
+    polynomial sum_k coeffs[k] x^k of degree i.
     """
-    by_open: dict[int, dict[int, int]] = {}
+    by_open: dict[int, list[int]] = {}
     for d in range(i // 2 + 1):
         for c in range(min(i - 2 * d, open_legs) + 1):
             o = i - 2 * d - c
             count = factorial(i) // (2**d * factorial(d) * factorial(c) * factorial(o))
             count *= factorial(open_legs) // factorial(open_legs - c)
-            poly = by_open.setdefault(open_legs - c + o, {})
-            for k in range(d + c + 1):  # u^(d+o) (1-u)^(d+c)
-                poly[d + o + k] = poly.get(d + o + k, 0) + (-1) ** k * comb(d + c, k) * count
-    out = []
-    for new_open, poly in sorted(by_open.items()):
-        low = min(poly)
-        out.append((new_open, low, tuple(poly.get(k, 0) for k in range(low, max(poly) + 1))))
-    return tuple(out)
+            poly = by_open.setdefault(open_legs - c + o, [0] * (i + 1))
+            for k in range(d + o + 1):  # x^(d+c) (1-x)^(d+o)
+                poly[d + c + k] += (-1) ** k * comb(d + o, k) * count
+    return tuple((new_open, tuple(poly)) for new_open, poly in sorted(by_open.items()))
 
 
-def _wick_program(rest0, legs0: int, n_points: int, moves) -> Fraction:
-    """Left-to-right Wick dynamic program for a bridge moment on [0,1].
+@lru_cache(maxsize=None)
+def _wick(rest: tuple[int, ...], open_legs: int, forced: bool) -> tuple[int, ...]:
+    """Backward Wick recursion G(rest, open)(u) for bridge moments on [0, u].
 
-    Points are placed in increasing order.  A state is (letters still to
-    place, their total leg count, legs left open); its value is a polynomial
-    in the current point u: the integral, over all earlier points below u,
-    of the covariance factors fixed so far.  ``moves(rest)`` yields the
-    (letter, rest') that may be placed next.  Each placement multiplies by a
-    kernel of ``_placement_kernels`` and integrates from 0 to u; states with
-    more open legs than legs still to place are dropped.  Coefficients are
-    integers over the common denominator L^step with L = lcm(1..degree+1),
-    so the loop does integer arithmetic only.  The value at u = 1 of the
-    final state (nothing left, nothing open) is the moment.
+    G integrates over placing the letters of ``rest`` at points
+    0 <= v_1 <= ... <= v_n <= u, with ``open_legs`` covariance legs waiting
+    from points above u.  The top point x takes a letter i: a word
+    (``forced``) its last letter, a multiset (a sorted tuple) any of its
+    distinct letters.  G(rest, open) sums, over i and the kernels of
+    ``_kernels(i, open)``, the integral from 0 to u of
+    kernel(x) G(rest - i, new_open)(x).  States with more open legs than
+    legs left to place vanish, so the empty word is reached with none open.
+
+    G is returned as integer coefficients c_k in the divided-power basis
+    u^k/k!: multiplying by x maps c_k to (k+1) c_k one place up and
+    integrating from 0 to u shifts by one place, so the recursion does
+    integer arithmetic only.
     """
-    # every polynomial has degree legs0 + n_points at most
-    width = legs0 + n_points + 1
-    L = lcm(*range(1, width))
-    inv = [0] + [L // k for k in range(1, width)]
-    level = {(rest0, legs0, 0): [1] + [0] * (width - 1)}
-    for _ in range(n_points):
-        nxt: dict = {}
-        for (rest, legs, open_legs), poly in level.items():
-            for letter, rest2 in moves(rest):
-                legs2 = legs - letter
-                for new_open, low, kern in _placement_kernels(letter, open_legs):
-                    if new_open > legs2:
-                        break
-                    acc = nxt.setdefault((rest2, legs2, new_open), [0] * width)
-                    # multiply by u^low * kern, then integrate from 0 to u
-                    for a, pa in enumerate(poly):
-                        if pa:
-                            for b, kb in enumerate(kern, start=a + low + 1):
-                                acc[b] += pa * kb * inv[b]
-        level = nxt
-    # every surviving state has nothing left to place and nothing open
-    return Fraction(sum(sum(poly) for poly in level.values()), L**n_points)
+    if not rest:
+        return (1,)
+    legs = sum(rest)
+    acc = [0] * (legs + len(rest) + 1)
+    if forced:
+        moves = ((rest[-1], rest[:-1]),)
+    else:
+        moves = tuple((i, rest[:p] + rest[p + 1:])
+                      for p, i in enumerate(rest) if p == 0 or rest[p - 1] != i)
+    for i, rest2 in moves:
+        for new_open, kern in _kernels(i, open_legs):
+            if new_open > legs - i:
+                break
+            for k, gk in enumerate(_wick(rest2, new_open, forced)):
+                # gk u^k/k! times x^j is gk (k+1)...(k+j) u^(k+j)/(k+j)!
+                for j, kj in enumerate(kern, start=k + 1):
+                    if kj:
+                        acc[j] += kj * gk
+                    gk *= j
+    return tuple(acc)
 
 
-def _word_moves(rest):
-    yield rest[0], rest[1:]
+def _wick_at_one(rest: tuple[int, ...], forced: bool) -> Fraction:
+    """G(rest, 0)(1) = sum_k c_k/k!, summed by Horner over the one denominator n!."""
+    coeffs = _wick(rest, 0, forced)
+    total = 0
+    for k, c in enumerate(coeffs):
+        total = total * k + c
+    return Fraction(total, factorial(len(coeffs) - 1))
 
 
 def monomial_simplex_integral(I: Sequence[int]) -> Fraction:
     """Exact simplex integral of the bridge moment with exponents I.
 
     The integral over v_1 <= ... <= v_n of E[alpha(v_1)^i1 ... alpha(v_n)^in],
-    by the left-to-right Wick program with the next letter forced.  The
+    by the backward Wick recursion with each point's letter forced.  The
     independent oracle is simplex_integrate(monomial_bridge_polynomial(I)),
     which enumerates the Wick configurations explicitly.
     """
@@ -337,7 +339,7 @@ def monomial_simplex_integral(I: Sequence[int]) -> Fraction:
         raise ValueError("exponents must be non-negative")
     if sum(I) % 2 == 1:
         return Fraction(0)
-    return _wick_program(I, sum(I), len(I), _word_moves)
+    return _wick_at_one(I, True)
 
 
 # ----------------------------------------------------------------------
@@ -378,9 +380,6 @@ def shuffle_multi(words: Iterable[Sequence[int]]) -> ShuffleSum:
     return acc
 
 
-_word_integral_cache: dict[Word, Fraction] = {}
-
-
 def word_integral(w) -> Fraction:
     """Simplex integral of the bridge moment indexed by a word (or a sum).
 
@@ -394,12 +393,7 @@ def word_integral(w) -> Fraction:
             (coeff * word_integral(word) for word, coeff in w.items()),
             Fraction(0),
         )
-    w = tuple(int(i) for i in w)
-    cached = _word_integral_cache.get(w)
-    if cached is None:
-        cached = monomial_simplex_integral(w)
-        _word_integral_cache[w] = cached
-    return cached
+    return monomial_simplex_integral(w)
 
 
 def _normalize_spec(spec: MomentSpec) -> tuple[tuple[int, int], ...]:
@@ -411,39 +405,28 @@ def _normalize_spec(spec: MomentSpec) -> tuple[tuple[int, int], ...]:
     return tuple(items)
 
 
-_moment_cache: dict[tuple[tuple[int, int], ...], Fraction] = {}
-
-
 def moment_product(spec: MomentSpec) -> Fraction:
     """Exact bridge moment of prod_i x_i(alpha)^(m_i).
 
     Equal to m_1!...m_r! times the word integral of the shuffle product of
     the blocks (i,...,i) repeated m_i times; zero when sum i*m_i is odd.
-    The shuffle sum is never expanded: the left-to-right Wick program lets
-    any remaining letter come next, which sums over the distinct
+    The shuffle sum is never expanded: the backward Wick recursion lets any
+    remaining letter take the top point, which sums over the distinct
     arrangements at once.  ``shuffle_multi`` + ``word_integral`` is the
-    word-by-word route to the same value.
+    word-by-word route through the same recursion;
+    ``monomial_bridge_polynomial`` + ``simplex_integrate`` is the
+    independent one.
     """
-    key = _normalize_spec(spec)
-    cached = _moment_cache.get(key)
-    if cached is not None:
-        return cached
-    degree = sum(i * m for i, m in key)
-    if degree % 2 == 1:
-        value = Fraction(0)
-    else:
-        letters = tuple(i for i, _ in key)
+    return _moment(_normalize_spec(spec))
 
-        def moves(rest):
-            for j, m in enumerate(rest):
-                if m:
-                    yield letters[j], rest[:j] + (m - 1,) + rest[j + 1 :]
 
-        counts = tuple(m for _, m in key)
-        value = _wick_program(counts, degree, sum(counts), moves)
-        for m in counts:
-            value *= factorial(m)
-    _moment_cache[key] = value
+@lru_cache(maxsize=None)
+def _moment(key: tuple[tuple[int, int], ...]) -> Fraction:
+    if sum(i * m for i, m in key) % 2 == 1:
+        return Fraction(0)
+    value = _wick_at_one(tuple(i for i, m in key for _ in range(m)), False)
+    for _, m in key:
+        value *= factorial(m)
     return value
 
 
@@ -489,13 +472,14 @@ def x1_even_moment(n: int) -> Fraction:
 _MC_CHUNK = 8192
 
 
-def _mc_chunk_sums(key, n_grid: int, seed: int, chunk_index: int, todo: int):
-    """(sum, sum of squares) of the functional over one counter-seeded chunk.
+def _mc_chunk_sums(keys, n_grid: int, seed: int, chunk_index: int, todo: int):
+    """Per key, (sum, sum of squares) of its functional over one counter-seeded chunk.
 
-    The bridge is built in place on the grid points v_1..v_{n_grid}.  It is
-    zero at v_0 = 0 and v_{n_grid} = 1, so each trapezoid sum is dt times the
-    sum over the interior points.
-    The powers alpha^k are running products in ascending letter order.
+    The bridge is built in place on the grid points v_1..v_{n_grid}, once for
+    all keys.  It is zero at v_0 = 0 and v_{n_grid} = 1, so each trapezoid sum
+    is dt times the sum over the interior points.
+    The powers alpha^k are running products in ascending letter order,
+    rebuilt per key, so one key's powers are held at a time.
     """
     dt = 1.0 / n_grid
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
@@ -503,17 +487,69 @@ def _mc_chunk_sums(key, n_grid: int, seed: int, chunk_index: int, todo: int):
     alpha *= np.sqrt(dt)
     np.cumsum(alpha, axis=1, out=alpha)
     alpha -= np.linspace(0.0, 1.0, n_grid + 1)[1:] * alpha[:, -1:]
-    vals = np.ones(todo)
-    power, alpha_k = 1, alpha
-    for letter, mult in key:
-        for _ in range(power, letter):
-            if alpha_k is alpha:
-                alpha_k = alpha * alpha
-            else:
-                alpha_k *= alpha
-        power = letter
-        vals *= (alpha_k[:, :-1].sum(axis=1) * dt) ** mult
-    return float(vals.sum()), float((vals**2).sum())
+    out = []
+    for key in keys:
+        vals = np.ones(todo)
+        power, alpha_k = 1, alpha
+        for letter, mult in key:
+            for _ in range(power, letter):
+                if alpha_k is alpha:
+                    alpha_k = alpha * alpha
+                else:
+                    alpha_k *= alpha
+            power = letter
+            vals *= (alpha_k[:, :-1].sum(axis=1) * dt) ** mult
+        out.append((float(vals.sum()), float((vals**2).sum())))
+    return out
+
+
+def mc_estimate_many(
+    specs: Sequence[MomentSpec],
+    n_paths: int,
+    n_grid: int,
+    seed: int,
+    n_workers: int = 1,
+) -> list[tuple[float, float]]:
+    """Monte Carlo estimates (mean, standard error) of several bridge moments.
+
+    Every spec is evaluated on the same paths: each counter-seeded chunk is
+    simulated once, so the estimates equal those of ``mc_estimate`` called
+    per spec with the same arguments.
+    """
+    if n_paths < 1000:
+        raise ValueError("n_paths must be >= 1000")
+    if n_grid < 64:
+        raise ValueError("n_grid must be >= 64")
+    keys = [_normalize_spec(spec) for spec in specs]
+    sizes = []
+    done = 0
+    while done < n_paths:
+        todo = min(_MC_CHUNK, n_paths - done)
+        sizes.append(todo)
+        done += todo
+    if n_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            parts = list(
+                pool.map(
+                    lambda args: _mc_chunk_sums(keys, n_grid, seed, *args),
+                    list(enumerate(sizes)),
+                )
+            )
+    else:
+        parts = [
+            _mc_chunk_sums(keys, n_grid, seed, i, todo)
+            for i, todo in enumerate(sizes)
+        ]
+    out = []
+    for j in range(len(keys)):
+        total = sum(p[j][0] for p in parts)
+        total_sq = sum(p[j][1] for p in parts)
+        mean = total / n_paths
+        var = max(total_sq / n_paths - mean**2, 0.0)
+        out.append((mean, (var / n_paths) ** 0.5))
+    return out
 
 
 def mc_estimate(
@@ -531,35 +567,4 @@ def mc_estimate(
     index, so the estimate is identical however the chunks are distributed
     over workers.
     """
-    if n_paths < 1000:
-        raise ValueError("n_paths must be >= 1000")
-    if n_grid < 64:
-        raise ValueError("n_grid must be >= 64")
-    key = _normalize_spec(spec)
-    sizes = []
-    done = 0
-    while done < n_paths:
-        todo = min(_MC_CHUNK, n_paths - done)
-        sizes.append(todo)
-        done += todo
-    if n_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda args: _mc_chunk_sums(key, n_grid, seed, *args),
-                    list(enumerate(sizes)),
-                )
-            )
-    else:
-        parts = [
-            _mc_chunk_sums(key, n_grid, seed, i, todo)
-            for i, todo in enumerate(sizes)
-        ]
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    mean = total / n_paths
-    var = max(total_sq / n_paths - mean**2, 0.0)
-    stderr = (var / n_paths) ** 0.5
-    return mean, stderr
+    return mc_estimate_many([spec], n_paths, n_grid, seed, n_workers)[0]

@@ -131,6 +131,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, attr, None)
         if val is not None:
             setattr(cfg, attr, val)
+    for flag, value in (("H", cfg.H), ("t", cfg.t), ("lambda", cfg.lam)):
+        if not math.isfinite(value):
+            raise ValidationError(f"--{flag} must be finite, got {value!r}")
     return cfg
 
 

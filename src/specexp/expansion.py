@@ -334,10 +334,9 @@ def a2M(M: int) -> SymPoly:
 def _clear_caches() -> None:
     """Forget every memo behind ``a2M`` and ``to_a_form``: the next build is cold."""
     for memo in (a2M, integrated_cell, _bell_pair, _bell_piece, _binom_general,
-                 bell.bell_template, symcore._deriv_power, symcore._inverse_power_deriv):
+                 bell.bell_template, bridge._wick, bridge._moment, symcore._deriv_power,
+                 symcore._inverse_power_deriv):
         memo.cache_clear()
-    bridge._word_integral_cache.clear()
-    bridge._moment_cache.clear()
 
 
 # ----------------------------------------------------------------------
@@ -359,22 +358,29 @@ class ScaleFactor:
     deriv: Callable[[int, float], float]
 
 
+def _power_law(name: str, base: float, p: float) -> ScaleFactor:
+    """a(t) = base * t^p, defined for t >= 0 (t = 0 is singular from i > p on)."""
+
+    def deriv(i: int, t: float) -> float:
+        if not t >= 0:
+            raise ValueError(f"the {name} scale factor needs t >= 0, got {t!r}")
+        return base * _falling(p, i) * t ** (p - i)
+
+    return ScaleFactor(name, deriv)
+
+
 def scale_factor(
     family: str, H: float = 1.0, fn: Callable[[int, float], float] | None = None
 ) -> ScaleFactor:
     """Build a scale factor: inflation, radiation, matter, empty, sphere, custom."""
     if family == "inflation":
         return ScaleFactor("inflation", lambda i, t: H**i * math.exp(H * t))
-    if family == "radiation":
-        return ScaleFactor(
-            "radiation",
-            lambda i, t: math.sqrt(2 * H) * _falling(0.5, i) * t ** (0.5 - i),
-        )
-    if family == "matter":
-        base = (1.5 * H) ** (2.0 / 3.0)
-        return ScaleFactor(
-            "matter", lambda i, t: base * _falling(2.0 / 3.0, i) * t ** (2.0 / 3.0 - i)
-        )
+    if family in ("radiation", "matter"):
+        if not (math.isfinite(H) and H > 0):
+            raise ValueError(f"the {family} scale factor needs a finite H > 0, got {H!r}")
+        if family == "radiation":
+            return _power_law("radiation", math.sqrt(2 * H), 0.5)
+        return _power_law("matter", (1.5 * H) ** (2.0 / 3.0), 2.0 / 3.0)
     if family == "empty":
         return ScaleFactor(
             "empty", lambda i, t: H * t if i == 0 else (H if i == 1 else 0.0)

@@ -104,11 +104,12 @@ class TestFunctionMoments:
 def gaussian_test_function() -> TestFunctionMoments:
     """Moments of f(x) = exp(-x^2): f_alpha = Gamma(alpha/2)/2 for Re alpha > 0.
 
-    At positive even alpha the moment is the exact Fraction (alpha/2 - 1)!/2,
-    so bulk rows built from exact zeta values stay exact.
+    At even alpha the moment is an exact Fraction: (alpha/2 - 1)!/2 at positive
+    alpha and (2j)!/j! at alpha = -2j, so rows built from exact zeta values
+    stay exact.
     """
 
-    def moment(alpha: complex) -> complex | Fraction | float:
+    def moment(alpha: complex) -> complex | Fraction:
         alpha = complex(alpha)
         if alpha == 0:
             return 1
@@ -116,7 +117,7 @@ def gaussian_test_function() -> TestFunctionMoments:
             n = int(alpha.real) // 2
             if n > 0:
                 return Fraction(math.factorial(n - 1), 2)
-            return float(math.factorial(-2 * n) // math.factorial(-n))
+            return Fraction(math.factorial(-2 * n) // math.factorial(-n))
         if alpha.imag == 0 and alpha.real < 0:
             raise ValueError("negative moments defined at even integers only")
         return gamma_complex(alpha / 2.0) / 2.0

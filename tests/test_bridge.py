@@ -207,20 +207,35 @@ def _a2m_moment_specs(max_m):
     return sorted(specs)
 
 
+def _shuffle_route(spec, integral):
+    """m_1!...m_r! times ``integral`` over the shuffle product of the blocks."""
+    combo = bridge.shuffle_multi([(i,) * m for i, m in spec])
+    total = sum((c * integral(w) for w, c in combo.items()), Fraction(0))
+    for _, m in spec:
+        total *= math.factorial(m)
+    return total
+
+
 class TestWickProgram:
+    def test_a8_specs_match_polynomial_route(self):
+        # the polynomial route enumerates the Wick configurations explicitly and
+        # is the one oracle that shares no code with the recursion
+        specs = [s for s in _a2m_moment_specs(4) if sum(i * m for i, m in s) % 2 == 0]
+        assert len(specs) == 40
+        for spec in specs:
+            total = _shuffle_route(spec, lambda w: bridge.simplex_integrate(
+                bridge.monomial_bridge_polynomial(w), len(w)))
+            assert bridge.moment_product(dict(spec)) == total, spec
+
     def test_multiset_program_matches_word_program_on_a10_specs(self):
-        # moment_product lets any letter come next; the word route forces the
-        # order and sums over the shuffle product of the blocks instead
+        # moment_product lets any letter take the top point; the word route
+        # forces the order and sums over the shuffle product of the blocks
+        # instead.  Both run the same recursion, so this checks the multiset
+        # moves against the forced ones, not the kernel.
         specs = _a2m_moment_specs(5)
         assert len(specs) > 40
         for spec in specs:
-            combo = bridge.shuffle_multi([(i,) * m for i, m in spec])
-            total = sum(
-                (c * bridge.monomial_simplex_integral(w) for w, c in combo.items()),
-                Fraction(0),
-            )
-            for _, m in spec:
-                total *= math.factorial(m)
+            total = _shuffle_route(spec, bridge.monomial_simplex_integral)
             assert bridge.moment_product(dict(spec)) == total, spec
 
 
@@ -255,6 +270,11 @@ class TestMonteCarlo:
         a = bridge.mc_estimate({2: 1}, 20_000, 64, seed=3, n_workers=1)
         b = bridge.mc_estimate({2: 1}, 20_000, 64, seed=3, n_workers=3)
         assert a == b
+
+    def test_many_specs_equal_one_spec_calls(self):
+        specs = [{1: 2, 3: 1}, {2: 1, 4: 1}]
+        many = bridge.mc_estimate_many(specs, 20_000, 64, seed=7, n_workers=2)
+        assert many == [bridge.mc_estimate(s, 20_000, 64, seed=7) for s in specs]
 
     def test_odd_functional_near_zero(self):
         est, se = bridge.mc_estimate({1: 1}, 50_000, 128, seed=4)

@@ -229,6 +229,24 @@ def test_negative_max_m_is_validation_error(capsys, argv):
     assert code == cli.EXIT_VALIDATION and out == "" and "max_m" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--family", "matter", "--maxM", "2", "--t", "-1"],
+        ["eval", "--family", "radiation", "--maxM", "2", "--t", "-1"],
+        ["eval", "--family", "matter", "--maxM", "2", "--t", "1", "--H", "-1"],
+        ["eval", "--family", "matter", "--maxM", "2", "--t", "nan"],
+        ["pscc", "--geometry", "s4", "--maxM", "2", "--lambda", "nan"],
+    ],
+    ids=["matter-negative-t", "radiation-negative-t", "matter-negative-H",
+         "nan-t", "nan-lambda"],
+)
+def test_out_of_domain_input_is_validation_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_VALIDATION and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_coeff_and_eval_do_not_import_scipy():
     # scipy serves only the verify suites; coeff, eval and pscc must not load it
     src = Path(__file__).resolve().parents[1] / "src"

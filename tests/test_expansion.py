@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from specexp import bridge
 from specexp import expansion as ex
 from specexp import pscc
 from specexp import symcore as sc
@@ -68,10 +69,11 @@ class TestCrmBell:
                 assert lhs == rhs, (r, m, order)
 
     @pytest.mark.slow
-    def test_route_equality_at_order_12(self):
+    @pytest.mark.parametrize("order", [12, 14])
+    def test_route_equality_at_order(self, order):
         for r, m in PAIRS:
-            lhs = ex.integrate_bridge(ex.crm_direct(r, m, 12))
-            rhs = ex.integrate_bridge(ex.crm_bell(r, m, 12))
+            lhs = ex.integrate_bridge(ex.crm_direct(r, m, order))
+            rhs = ex.integrate_bridge(ex.crm_bell(r, m, order))
             assert lhs == rhs, (r, m)
 
     def test_a2M_is_built_without_the_oracle(self, monkeypatch):
@@ -92,6 +94,8 @@ class TestCrmBell:
         assert ex._bell_piece.cache_info().currsize == 0
         assert ex._binom_general.cache_info().currsize == 0
         assert sc._deriv_power.cache_info().currsize == 0
+        assert bridge._wick.cache_info().currsize == 0
+        assert bridge._moment.cache_info().currsize == 0
         cold = ex.a2M(3)
         assert cold == warm and cold is not warm
 
@@ -224,6 +228,17 @@ class TestHeatTraceSeries:
         factor = ex.scale_factor("empty", H=1.0)
         with pytest.raises(ZeroDivisionError):
             ex.heat_trace_series(3, factor, 0.0)
+
+    @pytest.mark.parametrize("family", ["radiation", "matter"])
+    def test_power_law_domain(self, family):
+        for H in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ex.scale_factor(family, H=H)
+        factor = ex.scale_factor(family, H=1.0)
+        with pytest.raises(ValueError):
+            factor.deriv(0, -1.0)
+        with pytest.raises(ZeroDivisionError):
+            factor.deriv(1, 0.0)
 
     def test_custom_family(self):
         inflation_like = ex.scale_factor(

@@ -136,6 +136,12 @@ class TestSpectralAction:
         assert len(bulk) == 3 and all(isinstance(t.coeff, zt.ExactToken) for t in bulk)
         for row, heat_row in zip(bulk, heat_bulk):
             assert row.coeff == heat_row.coeff * g.moment(4 - 2 * row.provenance)
+        # at M >= 3 the moments sit at negative even alpha
+        terms = pscc.spectral_action(two_ball_string(), g, 10.0, 4, pscc.S4Geometry())
+        heat = pscc.round_heat_expansion(two_ball_string(), 4, pscc.S4Geometry())
+        for row, heat_row in zip(terms, heat):
+            assert type(row.coeff) is Fraction
+            assert row.coeff == heat_row.coeff * g.moment(4 - 2 * row.provenance)
 
     def test_ford_log_periodic_merge(self):
         terms = pscc.spectral_action(
@@ -200,9 +206,12 @@ class TestPackingTemplate:
         bare = {t.provenance: t.coeff for t in pscc.s4_packing_action_terms(zt.FordString())}
         for k in (1, 3, 5, 7):
             assert rows[complex(-k, 0)] == zt.ExactToken(Fraction(0))
-        for k in (2, 4, 6, 8):
-            sigma = complex(-k, 0)
-            assert rows[sigma] == float(bare[sigma]) * g.moment(sigma)
+        for j in (1, 2, 3, 4):
+            # f_(-2j) = (2j)!/j! exactly, so these rows stay exact tokens
+            sigma = complex(-2 * j, 0)
+            assert g.moment(sigma) == Fraction(math.factorial(2 * j), math.factorial(j))
+            assert isinstance(rows[sigma], zt.ExactToken)
+            assert rows[sigma] == bare[sigma] * g.moment(sigma)
 
 
 class TestLeadingConstantReconciliation:
