@@ -372,12 +372,17 @@ def _power_law(name: str, base: float, p: float) -> ScaleFactor:
 def scale_factor(
     family: str, H: float = 1.0, fn: Callable[[int, float], float] | None = None
 ) -> ScaleFactor:
-    """Build a scale factor: inflation, radiation, matter, empty, sphere, custom."""
+    """Build a scale factor: inflation, radiation, matter, empty, sphere, custom.
+
+    Every family that uses H needs it finite; radiation and matter need H > 0.
+    """
+    if family in ("inflation", "radiation", "matter", "empty") and not math.isfinite(H):
+        raise ValueError(f"the {family} scale factor needs a finite H, got {H!r}")
     if family == "inflation":
         return ScaleFactor("inflation", lambda i, t: H**i * math.exp(H * t))
     if family in ("radiation", "matter"):
-        if not (math.isfinite(H) and H > 0):
-            raise ValueError(f"the {family} scale factor needs a finite H > 0, got {H!r}")
+        if not H > 0:
+            raise ValueError(f"the {family} scale factor needs H > 0, got {H!r}")
         if family == "radiation":
             return _power_law("radiation", math.sqrt(2 * H), 0.5)
         return _power_law("matter", (1.5 * H) ** (2.0 / 3.0), 2.0 / 3.0)

@@ -267,6 +267,46 @@ class FordString:
         return "FordString()"
 
 
+# np.frexp writes a finite double as m * 2^(e - 53) with an integer |m| < 2^53
+# and -1073 <= e <= 1024; bucket k = e + 1073 then holds units of 2^(k - 1126).
+_EXP_OFFSET = 1073
+_UNIT_SHIFT = _EXP_OFFSET + 53
+_N_BUCKETS = 1024 + _EXP_OFFSET + 1
+# m splits into a high part |h| <= 2^27 and a low part 0 <= l < 2^26; a block
+# of 2^16 such parts sums below 2^43 < 2^53, so the float64 bincount is exact.
+# The block bounds the temporaries, not the exactness.
+_LO_BITS, _SUM_BLOCK = 26, 1 << 16
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """Sum of float64 terms, computed exactly and rounded once.
+
+    The mantissa halves are summed per exponent by ``np.bincount`` one block
+    at a time and carried across blocks in int64; the buckets are combined
+    in Python ints and divided once by 2^1126, which int/int true division
+    rounds correctly.  The result equals ``math.fsum(terms)``.  Non-finite
+    terms go to ``math.fsum`` unchanged (inf, nan, and its ``ValueError``
+    for -inf + inf); an exact sum beyond the float range raises
+    ``OverflowError``, as ``math.fsum`` does (which also raises when only a
+    partial sum overflows).
+    """
+    if not np.isfinite(terms).all():
+        return math.fsum(terms)
+    hi = np.zeros(_N_BUCKETS, dtype=np.int64)
+    lo = np.zeros(_N_BUCKETS, dtype=np.int64)
+    for start in range(0, terms.size, _SUM_BLOCK):
+        mant, exp = np.frexp(terms[start : start + _SUM_BLOCK])
+        m = (mant * 2.0**53).astype(np.int64)
+        k = exp + _EXP_OFFSET
+        hi += np.bincount(k, m >> _LO_BITS, _N_BUCKETS).astype(np.int64)
+        lo += np.bincount(k, m & ((1 << _LO_BITS) - 1), _N_BUCKETS).astype(np.int64)
+    hi_l, lo_l = hi.tolist(), lo.tolist()
+    total = 0
+    for k in np.flatnonzero(hi | lo).tolist():
+        total += ((hi_l[k] << _LO_BITS) + lo_l[k]) << k
+    return total / (1 << _UNIT_SHIFT)
+
+
 class TruncatedString:
     """Finite explicit list of (radius, multiplicity); its zeta is entire."""
 
@@ -298,13 +338,14 @@ class TruncatedString:
 
         A string built by ``from_arrays`` holds float64 radii.  At real s it
         returns the correctly rounded sum of its float64 terms ``m * r**s``
-        (``math.fsum``); at non-real s the sum is plain float64.
+        (``_exact_sum``, equal to ``math.fsum`` of the terms); at non-real s
+        the sum is plain float64.
         """
         if self._arrays is not None:
             radii, mults = self._arrays
             if isinstance(s, complex) and s.imag != 0:
                 return complex(np.sum(mults * np.exp(s * np.log(radii))))
-            return math.fsum(mults * radii ** float(np.real(s)))
+            return _exact_sum(mults * radii ** float(np.real(s)))
         exact = isinstance(s, (int, Fraction)) or (
             isinstance(s, float) and float(s).is_integer()
         )
@@ -488,15 +529,30 @@ def dirac_zeta_s4_exact(s: int) -> ExactToken:
 # ----------------------------------------------------------------------
 
 def euler_totient_sieve(n_max: int) -> np.ndarray:
-    """phi(0..n_max) as an int64 array (phi[0] = 0)."""
+    """phi(0..n_max) as an int64 array (phi[0] = 0).
+
+    Only the primes p <= sqrt(n_max) are sieved by slices; meanwhile every
+    power of p is divided out of ``rem``, a copy of the indices.  What is
+    left, ``rem[n] > 1``, is the one prime factor P of n above sqrt(n_max),
+    and one vectorised step applies its factor (1 - 1/P).
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
+    root = math.isqrt(n_max)
     phi = np.arange(n_max + 1, dtype=np.int64)
-    prime = np.ones(n_max + 1, dtype=bool)
+    rem = phi.copy()
+    prime = np.ones(root + 1, dtype=bool)
     prime[:2] = False
-    for p in range(2, math.isqrt(n_max) + 1):
+    for p in range(2, root + 1):
         if prime[p]:
             prime[p * p :: p] = False
-    for p in np.flatnonzero(prime).tolist():
-        phi[p::p] -= phi[p::p] // p
+            phi[p::p] -= phi[p::p] // p
+            q = p
+            while q <= n_max:
+                rem[q::q] //= p
+                q *= p
+    big = np.flatnonzero(rem > 1)
+    phi[big] -= phi[big] // rem[big]
     return phi
 
 

@@ -187,6 +187,10 @@ class TestVerify:
         rep = json.loads(out)
         assert rep["pass"] is True
 
+    def test_set_partition_counter_gives_bell_numbers(self):
+        counts = [cli._count_set_partitions(n) for n in range(9)]
+        assert counts == [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+
     def test_dawson_suite_json(self, capsys):
         # the Dawson suite's quadrature checks return numpy booleans
         code, out, _ = run(

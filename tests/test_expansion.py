@@ -240,6 +240,14 @@ class TestHeatTraceSeries:
         with pytest.raises(ZeroDivisionError):
             factor.deriv(1, 0.0)
 
+    def test_non_finite_h_rejected_by_every_h_family(self):
+        with pytest.raises(ValueError):
+            ex.heat_trace_series(2, ex.scale_factor("inflation", H=math.nan), 1.0)
+        for family in ("inflation", "empty"):
+            for H in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError):
+                    ex.scale_factor(family, H=H)
+
     def test_custom_family(self):
         inflation_like = ex.scale_factor(
             "custom", fn=lambda i, t: math.exp(t)

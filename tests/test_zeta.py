@@ -181,6 +181,39 @@ class TestStrings:
         for n_max in (0, 1, 2, 3, 4):
             assert list(zt.euler_totient_sieve(n_max)) == list(phi[: n_max + 1])
 
+    def test_totient_sieve_gauss_identity(self):
+        # sum over d | n of phi(d) = n, accumulated by slices for every n <= N
+        n_max = 200_000
+        phi = zt.euler_totient_sieve(n_max)
+        divisor_sums = np.zeros(n_max + 1, dtype=np.int64)
+        for d in range(1, n_max + 1):
+            divisor_sums[d::d] += phi[d]
+        assert np.array_equal(divisor_sums, np.arange(n_max + 1))
+
+    def test_totient_sieve_against_trial_division(self):
+        def phi_by_trial_division(n):
+            result, rest, p = n, n, 2
+            while p * p <= rest:
+                if rest % p == 0:
+                    while rest % p == 0:
+                        rest //= p
+                    result -= result // p
+                p += 1
+            return result - result // rest if rest > 1 else result
+
+        n_max = 1_000_000
+        phi = zt.euler_totient_sieve(n_max)
+        rng = np.random.default_rng(13)
+        # primes above sqrt(n_max), twice such a prime, and prime powers
+        special = [999_983, 1_009, 2 * 499_979, 3 * 333_331, 997**2, 2**19, 3**12, 5**8, n_max]
+        for n in special + rng.integers(1, n_max + 1, 300).tolist():
+            assert phi[n] == phi_by_trial_division(n), n
+
+    def test_negative_n_max_is_rejected(self):
+        for build in (zt.euler_totient_sieve, zt.ford_prefix_string):
+            with pytest.raises(ValueError, match="n_max"):
+                build(-1)
+
     def test_array_sum_real_s_correctly_rounded(self):
         # the same float64 terms m * r**s, summed exactly and rounded once
         s = zt.ford_prefix_string(2000)
@@ -188,6 +221,14 @@ class TestStrings:
         for arg in (2.0, 2.5, 4.0):
             terms = mults * radii**arg
             assert s.zeta(arg) == float(sum(Fraction(t) for t in terms)), arg
+
+    def test_ford_prefix_sum_equals_fsum(self):
+        rng = np.random.default_rng(5)
+        for n_max in rng.integers(300_000, 500_001, 2).tolist():
+            s = zt.ford_prefix_string(n_max)
+            radii, mults = s._arrays
+            for arg in (2.0, 2.5, 4.0):
+                assert s.zeta(arg) == math.fsum(mults * radii**arg), (n_max, arg)
 
     def test_ford_prefix_converges_within_tail_bound(self):
         # At s = 4 the tail bound (~1.6e-34) is far below half an ulp of the
@@ -228,6 +269,59 @@ class TestStrings:
             for k in ks
         )
         assert string_zeta * spec == double
+
+
+class TestExactSum:
+    @staticmethod
+    def exact(terms):
+        return float(sum(map(Fraction, terms.tolist()), Fraction(0)))
+
+    @pytest.mark.parametrize("n", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7])
+    def test_block_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        terms = rng.standard_normal(n) * np.exp2(rng.integers(-60, 61, n))
+        assert zt._exact_sum(terms) == self.exact(terms)
+
+    def test_cancellation(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(5000) * np.exp2(rng.integers(-300, 300, 5000))
+        to_zero = rng.permutation(np.concatenate([x, -x]))
+        assert zt._exact_sum(to_zero) == self.exact(to_zero) == 0.0
+        tiny = 3 * 2.0**-1074
+        to_subnormal = rng.permutation(np.concatenate([x, -x, [tiny, 1e300, -1e300]]))
+        assert zt._exact_sum(to_subnormal) == self.exact(to_subnormal) == tiny
+
+    def test_full_exponent_range(self):
+        rng = np.random.default_rng(4)
+        mags = np.ldexp(rng.random(4000) + 0.5, rng.integers(-1074, 1000, 4000))
+        terms = np.concatenate([mags, [2.0**-1074, 2.0**1000]]) * rng.choice([-1.0, 1.0], 4002)
+        assert zt._exact_sum(terms) == self.exact(terms)
+
+    def test_ties_round_to_even(self):
+        # 1 + 2^-53 lies halfway between 1 and its successor; so does
+        # (1 + 2^-52) + 2^-53 between its neighbours, and the even one is above
+        down = np.array([1.0, 2.0**-53])
+        up = np.array([1.0 + 2.0**-52, 2.0**-53])
+        assert zt._exact_sum(down) == self.exact(down) == 1.0
+        assert zt._exact_sum(up) == self.exact(up) == 1.0 + 2.0**-51
+        # 2^-200 in the next block breaks the first tie: rounding per block
+        # would lose it and return 1
+        spread = np.zeros(3 * 2**16 + 7)
+        spread[[0, 2**16, 2**16 + 5]] = 1.0, 2.0**-53, 2.0**-200
+        assert zt._exact_sum(spread) == self.exact(spread) == 1.0 + 2.0**-52
+
+    def test_non_finite_and_overflow_as_fsum(self):
+        inf = np.array([1.0, math.inf])
+        assert zt._exact_sum(inf) == math.fsum(inf) == math.inf
+        assert math.isnan(zt._exact_sum(np.array([math.nan, 1.0])))
+        for terms, error in (
+            (np.array([-math.inf, math.inf]), ValueError),
+            (np.array([1e308, 1e308]), OverflowError),
+        ):
+            with pytest.raises(error):
+                math.fsum(terms)
+            with pytest.raises(error):
+                zt._exact_sum(terms)
 
 
 class TestPoleTables:
