@@ -22,7 +22,8 @@ configurations as a polynomial in the simplex variables
 
 The memos are ``lru_cache``s of immutable, deterministic values, so concurrent
 readers are safe; MC paths are seeded per chunk by counter, making results
-independent of how chunks are distributed over workers.
+independent of how chunks are distributed over workers.  numpy is imported
+only inside the Monte Carlo chunk, so the exact routes never load it.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .symcore import SparsePoly
 
@@ -481,6 +480,8 @@ def _mc_chunk_sums(keys, n_grid: int, seed: int, chunk_index: int, todo: int):
     The powers alpha^k are running products in ascending letter order,
     rebuilt per key, so one key's powers are held at a time.
     """
+    import numpy as np
+
     dt = 1.0 / n_grid
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
     alpha = rng.standard_normal((todo, n_grid))

@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 validation error (bad input, or a float evaluation
 outside the double range), 3 reference-table mismatch, 4 numeric verification
 failure.  A flat key=value config file can provide defaults for any long
 option; explicit flags win.  SPECEXP_THREADS caps the worker count used by the
-Monte Carlo internals.
+Monte Carlo internals.  numpy is imported inside the verify suites only, so
+``coeff``, ``eval`` and ``pscc`` never load it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
-
-import numpy as np
 
 from . import bell, bridge, expansion, pscc, specfun, symcore, zeta
 
@@ -285,6 +284,8 @@ def cmd_pscc(cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------
 
 def _suite_bridge(cfg: RunConfig) -> list[dict]:
+    import numpy as np
+
     checks = []
     rng = np.random.default_rng(cfg.seed)
     # exact route equivalence on a small random word set
@@ -322,6 +323,8 @@ def _suite_bridge(cfg: RunConfig) -> list[dict]:
 
 
 def _suite_dawson(cfg: RunConfig) -> list[dict]:
+    import numpy as np
+
     checks = []
     rng = np.random.default_rng(cfg.seed)
     grid = np.linspace(-10, 10, 81)
@@ -356,6 +359,8 @@ def _suite_dawson(cfg: RunConfig) -> list[dict]:
 
 
 def _suite_mellin(cfg: RunConfig) -> list[dict]:
+    import numpy as np
+
     checks = []
     rng = np.random.default_rng(cfg.seed)
     draws = 3 if cfg.fast else 10
@@ -401,6 +406,8 @@ def _count_set_partitions(n: int) -> int:
 
 
 def _suite_bell(cfg: RunConfig) -> list[dict]:
+    import numpy as np
+
     checks = []
     upto = 7 if cfg.fast else 9
     ok = all(bell.bell_number(n) == _count_set_partitions(n) for n in range(0, upto))

@@ -259,10 +259,18 @@ def _round_scaling(string: FractalString, max_m: int, geometry: Geometry, pole_s
     products = [
         _coeff_mul(_string_zeta_value(string, 4 - 2 * M), c2m) for M, c2m in enumerate(bulk)
     ]
+    # tilde-f is real on the real axis for both geometries (the S^4 weight,
+    # and the RW model transform with real coefficients), so each conjugate
+    # pole pair needs one evaluation
+    weights: dict[complex, complex] = {}
     triples = []
     for p in poles:
         sigma = complex(p.sigma)
-        triples.append((sigma, _heat_mellin(geometry, sigma, bulk), p.residue))
+        if sigma.conjugate() in weights:
+            weights[sigma] = weights[sigma.conjugate()].conjugate()
+        else:
+            weights[sigma] = _heat_mellin(geometry, sigma, bulk)
+        triples.append((sigma, weights[sigma], p.residue))
     return products, triples
 
 

@@ -9,9 +9,9 @@ return (lhs, rhs, passed) so callers can report both sides.  The simplex
 Gaussian integrals (Dawson combinations, term lists bundled as data) are
 checked against one tensor Gauss-Legendre rule in numpy (its error against u
 is given at verify_dawson_simplex), the Mellin-transform/Kummer identities
-against scipy's adaptive quad.  scipy.integrate and scipy.special are imported
-inside the functions that need them, so they load only when a verify suite
-runs; nothing loads scipy.stats.
+against scipy's adaptive quad.  numpy, scipy.integrate and scipy.special are
+imported inside the functions that need them, so they load only when a verify
+suite runs; nothing loads scipy.stats.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from importlib import resources
 from typing import Sequence
 
 import mpmath as mp
-import numpy as np
 
 __all__ = [
     "QuadratureSpec",
@@ -166,6 +165,8 @@ def _simplex_gauss(u: Sequence[float]) -> float:
     jacobian prod_k z_k^(k-1); the integrand is analytic on the cube, so the
     rule converges exponentially in the node count.
     """
+    import numpy as np
+
     x, wx = np.polynomial.legendre.leggauss(GAUSS_NODES)
     z, wz = 0.5 * (x + 1.0), 0.5 * wx
     w, u = _bridge_forms(u)
@@ -229,8 +230,8 @@ def verify_gaussian_multiplicity(
         quad = QuadratureSpec(tolerance=1e-10)
     lhs, _ = integrate.quad(
         lambda x: (x * x - 0.25) * math.exp(-x * x * U - x * V),
-        -np.inf,
-        np.inf,
+        -math.inf,
+        math.inf,
         epsabs=quad.tolerance / 100,
         epsrel=1e-12,
         limit=quad.max_subdivisions * 4,

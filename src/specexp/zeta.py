@@ -14,7 +14,8 @@ nontrivial zeros, whose ordinates ship as a data file and are re-verified by
 Hardy-Z sign bracketing when the table is first used.  Ford residues are
 memoised per pole; those at s = 1 and s = -k are exact tokens.
 
-Evaluators are pure; the zero table is immutable after load.
+Evaluators are pure; the zero table is immutable after load.  numpy is
+imported only where an array string is built or summed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from importlib import resources
 from typing import Callable, Sequence
 
 import mpmath as mp
-import numpy as np
 
 __all__ = [
     "PoleError",
@@ -290,6 +290,8 @@ def _exact_sum(terms: np.ndarray) -> float:
     ``OverflowError``, as ``math.fsum`` does (which also raises when only a
     partial sum overflows).
     """
+    import numpy as np
+
     if not np.isfinite(terms).all():
         return math.fsum(terms)
     hi = np.zeros(_N_BUCKETS, dtype=np.int64)
@@ -326,11 +328,23 @@ class TruncatedString:
 
     @classmethod
     def from_arrays(cls, radii: np.ndarray, mults: np.ndarray) -> "TruncatedString":
+        """String from float arrays of radii and multiplicities.
+
+        Radii must be finite and positive, multiplicities finite integers
+        >= 1, as for the pair-list constructor.
+        """
+        import numpy as np
+
+        radii = np.asarray(radii, dtype=float)
+        mults = np.asarray(mults, dtype=float)
+        if not (np.isfinite(radii).all() and (radii > 0).all()):
+            raise ValueError("radii must be finite and strictly positive")
+        integral = np.isfinite(mults) & (mults == np.floor(mults))
+        if not (integral.all() and (mults >= 1).all()):
+            raise ValueError("multiplicities must be positive integers")
         obj = cls.__new__(cls)
         obj.pairs = None
-        if np.any(radii <= 0):
-            raise ValueError("radii must be strictly positive")
-        obj._arrays = (np.asarray(radii, dtype=float), np.asarray(mults, dtype=float))
+        obj._arrays = (radii, mults)
         return obj
 
     def zeta(self, s):
@@ -342,6 +356,8 @@ class TruncatedString:
         the sum is plain float64.
         """
         if self._arrays is not None:
+            import numpy as np
+
             radii, mults = self._arrays
             if isinstance(s, complex) and s.imag != 0:
                 return complex(np.sum(mults * np.exp(s * np.log(radii))))
@@ -457,7 +473,11 @@ def _ford_pole(sigma: complex) -> PoleTerm:
     first two have exact residues: at s = -k, zeta(-2k-1) = -B_(2k+2)/(2k+2)
     and the functional equation's zeta'(-2k) = (-1)^k (2k)! zeta(2k+1) /
     (2 (2 pi)^(2k)) give 2^k zeta(-2k-1) / (2 zeta'(-2k)) in closed form.
+    The string zeta is real on the real axis, so below it the residue is the
+    conjugate of the one above, computed once per pair.
     """
+    if sigma.imag < 0:
+        return PoleTerm(sigma, _ford_pole(sigma.conjugate()).residue.conjugate())
     if sigma == 1:
         # zeta(2s-1) ~ 1/(2(s-1))
         exact = ExactToken(Fraction(3, 2), pi_pow=-2)
@@ -536,6 +556,8 @@ def euler_totient_sieve(n_max: int) -> np.ndarray:
     left, ``rem[n] > 1``, is the one prime factor P of n above sqrt(n_max),
     and one vectorised step applies its factor (1 - 1/P).
     """
+    import numpy as np
+
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     root = math.isqrt(n_max)
@@ -558,9 +580,11 @@ def euler_totient_sieve(n_max: int) -> np.ndarray:
 
 def ford_prefix_string(n_max: int) -> TruncatedString:
     """Truncated Ford string: radii 1/(2n^2), multiplicities phi(n), n <= n_max."""
-    phi = euler_totient_sieve(n_max)
-    n = np.arange(1, n_max + 1, dtype=float)
-    return TruncatedString.from_arrays(1.0 / (2.0 * n**2), phi[1:].astype(float))
+    import numpy as np
+
+    mults = euler_totient_sieve(n_max)[1:].astype(float)
+    radii = 1.0 / (2.0 * np.arange(1, n_max + 1, dtype=float) ** 2)
+    return TruncatedString.from_arrays(radii, mults)
 
 
 # ----------------------------------------------------------------------

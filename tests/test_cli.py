@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from specexp import cli
+from specexp import cli, zeta
 from specexp import symcore as sc
 
 
@@ -251,40 +251,65 @@ def test_out_of_domain_input_is_validation_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_coeff_and_eval_do_not_import_scipy():
-    # scipy serves only the verify suites; coeff, eval and pscc must not load it
+def _fresh_python(script: str, timeout: float) -> list[str]:
+    """Run script in a new interpreter on this checkout; its stdout lines."""
     src = Path(__file__).resolve().parents[1] / "src"
-    script = (
-        "import sys, specexp\n"
-        "from specexp import cli\n"
-        "assert cli.main(['coeff', '--order', '2']) == 0\n"
-        "assert cli.main(['eval', '--family', 'matter', '--maxM', '4']) == 0\n"
-        "assert cli.main(['pscc', '--string', 'ford', '--geometry', 's4', '--maxM', '2']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()
+
+
+_EXACT_COMMANDS = (
+    "import sys, specexp\n"
+    "print('numpy' in sys.modules)\n"
+    "from specexp import cli\n"
+    "assert cli.main(['coeff', '--order', '2']) == 0\n"
+    "assert cli.main(['eval', '--family', 'matter', '--maxM', '4']) == 0\n"
+    "assert cli.main(['pscc', '--string', 'ford', '--geometry', 's4', '--maxM', '2']) == 0\n"
+)
+
+
+def test_coeff_and_eval_do_not_import_scipy():
+    # scipy serves only the verify suites; coeff, eval and pscc must not load it
+    script = _EXACT_COMMANDS + (
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert _fresh_python(script, timeout=120)[-1] == "[]"
+
+
+def test_import_and_exact_commands_do_not_import_numpy():
+    # numpy serves only Monte Carlo, array strings and the verify suites
+    lines = _fresh_python(_EXACT_COMMANDS + "print('numpy' in sys.modules)\n", timeout=120)
+    assert lines[0] == "False" and lines[-1] == "False"
+
+
+def test_array_paths_load_numpy_on_demand():
+    script = (
+        "import sys\n"
+        "from specexp import cli, zeta\n"
+        "print('numpy' in sys.modules)\n"
+        "code = cli.main(['verify', '--suite', 'bridge', '--fast'])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+        "print(zeta.ford_prefix_string(1000).zeta(2.0))\n"
+    )
+    lines = _fresh_python(script, timeout=120)
+    assert lines[0] == "False" and lines[-2] == "0 True"
+    # the tail beyond n = 1000 is below 1e-6 of 2^-2 zeta(3)/zeta(4)
+    assert float(lines[-1]) == pytest.approx(zeta.ford_zeta(2.0).real, rel=1e-6)
 
 
 def test_verify_does_not_import_scipy_stats():
     # the Dawson checks use a numpy Gauss-Legendre rule, not scipy's QMC
-    src = Path(__file__).resolve().parents[1] / "src"
     script = (
         "import sys\n"
         "from specexp import cli\n"
         "code = cli.main(['verify', '--suite', 'all', '--fast'])\n"
         "print(code, sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert _fresh_python(script, timeout=300)[-1] == "0 []"
 
 
 class TestConfig:

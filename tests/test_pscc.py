@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,9 @@ from specexp import pscc
 from specexp import symcore as sc
 from specexp import zeta as zt
 from specexp.specfun import gamma_complex
+
+
+RW_MATTER = pscc.RWGeometry(ex.scale_factor("matter", 0.7), 1.3)
 
 
 def unit_string():
@@ -97,6 +101,19 @@ class TestRoundHeatExpansion:
         with pytest.raises(pscc.CollisionError):
             pscc.round_heat_expansion(zt.FordString(), 3, pscc.S4Geometry())
 
+    @pytest.mark.parametrize("geometry", [pscc.S4Geometry(), RW_MATTER], ids=["s4", "rw"])
+    def test_conjugate_pole_rows_pair_exactly(self, geometry):
+        strip = ((0.0, 0.5), (-46.0, 46.0))
+        terms = pscc.round_heat_expansion(zt.FordString(), 2, geometry, strip)
+        rows = {t.provenance: t.coeff for t in terms if t.kind == "pole"}
+        assert len(rows) == 50
+        bulk = [pscc._bulk_coefficient(geometry, M) for M in range(3)]
+        for sigma, c in rows.items():
+            assert rows[sigma.conjugate()] == c.conjugate()
+            # the shared weight against a direct evaluation at each member
+            direct = pscc._heat_mellin(geometry, sigma, bulk) * zt._ford_pole(sigma).residue
+            assert abs(c - direct) <= 1e-14 * abs(direct), sigma
+
     def test_rw_geometry_runs(self):
         geo = pscc.RWGeometry(ex.scale_factor("inflation", 1.0), 0.4)
         terms = pscc.round_heat_expansion(unit_string(), 2, geo)
@@ -155,6 +172,85 @@ class TestSpectralAction:
             assert abs(t.log_periodic["a"] - 0.25) < 1e-12
             # merged form is real by construction; value finite
             assert math.isfinite(pscc.term_value(t, 100.0))
+
+    # pole rows (exponent, coeff, phase) as computed when both members of
+    # each conjugate pair were evaluated separately; the rows do not depend
+    # on Lambda, the pole-row total at the seeded Lambda does
+    PINNED_ROWS = {
+        "s4": (
+            29,
+            8.559717180940973,
+            [
+                (
+                    complex(0.25, 44.40455560381723),
+                    complex(-2.1061718419208177e-29, -1.4082940240512167e-28),
+                    -1.7192508794397803,
+                ),
+                (
+                    complex(0.25, 43.71263730656261),
+                    complex(-3.8300267287356905e-28, -1.0641230940500582e-28),
+                    -2.8705908343725643,
+                ),
+                (
+                    complex(0.25, 28.223123848531696),
+                    complex(-3.213561652062357e-18, 3.343962064400954e-19),
+                    3.0379079967813953,
+                ),
+                (
+                    complex(1, 0),
+                    complex(0.0795774715459477, 0),
+                    None,
+                ),
+            ],
+        ),
+        "rw": (
+            29,
+            -0.8126775944936271,
+            [
+                (
+                    complex(0.25, 44.40455560381723),
+                    complex(2.2540797607361794e-20, -9.894718502564622e-18),
+                    -1.5685182671806424,
+                ),
+                (
+                    complex(0.25, 43.71263730656261),
+                    complex(-1.7440623261445843e-17, -2.8058390751032917e-18),
+                    -2.982079944286482,
+                ),
+                (
+                    complex(0.25, 28.223123848531696),
+                    complex(-1.2962336685277842e-12, -3.814549576386307e-12),
+                    -1.8983672325535395,
+                ),
+                (
+                    complex(1, 0),
+                    complex(-0.007552561619750494, 0),
+                    None,
+                ),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", ["s4", "rw"])
+    def test_ford_pole_rows_pinned(self, name):
+        lam = random.Random(2018).uniform(2.0, 200.0)
+        geometry = pscc.S4Geometry() if name == "s4" else RW_MATTER
+        terms = pscc.spectral_action(
+            zt.FordString(), pscc.gaussian_test_function(), lam, 2, geometry
+        )
+        n_rows, total, pinned = self.PINNED_ROWS[name]
+        assert len(terms) == n_rows
+        poles = [t for t in terms if t.kind == "pole"]
+        got = sum(pscc.term_value(t, lam) for t in poles)
+        assert abs(got - total) <= 1e-12 * abs(total)
+        for i, (sigma, coeff, phase) in zip((0, 1, 13, 25), pinned):
+            row = poles[i]
+            assert row.exponent == sigma
+            assert abs(row.coeff - coeff) <= 1e-12 * abs(coeff), sigma
+            if phase is None:
+                assert row.log_periodic is None
+            else:
+                assert abs(row.log_periodic["phase"] - phase) <= 1e-12
 
     def test_gaussian_moments_against_quadrature(self):
         g = pscc.gaussian_test_function()

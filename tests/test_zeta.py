@@ -167,6 +167,16 @@ class TestStrings:
         with pytest.raises(ValueError):
             zt.TruncatedString([(1, 0)])
 
+    @pytest.mark.parametrize(
+        "radii, mults",
+        [([0.5], [-1.0]), ([math.nan], [1.0]), ([0.5], [math.inf]), ([0.5], [0.5])],
+        ids=["negative-mult", "nan-radius", "inf-mult", "fractional-mult"],
+    )
+    def test_array_validation(self, radii, mults):
+        # the same inputs the pair-list constructor rejects
+        with pytest.raises(ValueError):
+            zt.TruncatedString.from_arrays(np.array(radii), np.array(mults))
+
     def test_truncated_is_entire(self):
         s = zt.TruncatedString([(1, 1), (Fraction(1, 2), 1)])
         assert zt.string_poles(s) == []
@@ -366,6 +376,19 @@ class TestPoleTables:
             g = [eps * zt.ford_zeta(p.sigma + eps) for eps in (1e-4, 5e-5)]
             limit = 2 * g[1] - g[0]
             assert abs(p.residue - limit) < 1e-7 * abs(limit), p.sigma
+
+    def test_conjugate_pole_residues(self):
+        # the lower member of each pair reuses the upper one's residue; it
+        # must agree with the residue formula evaluated at the lower member
+        for g in zt.zero_ordinates():
+            upper = complex(0.25, g / 2)
+            lower = upper.conjugate()
+            res = zt._ford_pole(lower).residue
+            assert res == zt._ford_pole(upper).residue.conjugate()
+            direct = 2**-lower * zt.riemann_zeta(2 * lower - 1) / (
+                2 * zt.zeta_derivative(2 * lower)
+            )
+            assert abs(res - direct) <= 1e-15 * abs(direct), g
 
     def test_corrupted_ordinate_fails_bracket(self, monkeypatch):
         good = zt.zero_ordinates()
