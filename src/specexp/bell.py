@@ -1,19 +1,20 @@
 """Partial Bell polynomials and derivatives of composite functions.
 
 The evaluators are carrier-generic: they work over any commutative ring whose
-elements support ``+``, ``*`` with each other and ``*`` with ``Fraction``.
+elements support ``+``, ``*`` with each other and ``*`` with ``int``.
 Plain ints/floats/complex work, as do the ``SparsePoly`` carriers: SymPoly,
 AFormPoly and the u/v letter sums of the expansion assembly
 (``expansion._UVTerms``).
 
-Integer-coefficient templates for fixed (n, k) are memoized because the same
-indices recur thousands of times across the series assemblies; the memo table
-is only ever appended to with identical values, so concurrent lookups are safe.
+The templates for fixed (n, k) hold exact ``int`` coefficients, so an
+evaluation over an integer carrier never leaves int arithmetic.  They are
+memoized because the same indices recur thousands of times across the series
+assemblies; the memo table is only ever appended to with identical values, so
+concurrent lookups are safe.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Sequence
@@ -22,29 +23,30 @@ __all__ = ["bell_template", "bell_polynomial", "faa_di_bruno", "bell_number"]
 
 
 @lru_cache(maxsize=None)
-def bell_template(n: int, k: int) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
+def bell_template(n: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """All (coefficient, lambda) pairs of B_{n,k}.
 
     lambda is the tuple (lambda_1, ..., lambda_{n-k+1}) of multiplicities with
-    sum(lambda) = k and sum(i*lambda_i) = n; the coefficient is
-    n! / (prod lambda_i! * prod (i!)^lambda_i).
+    sum(lambda) = k and sum(i*lambda_i) = n; the coefficient is the int
+    n! // (prod lambda_i! * prod (i!)^lambda_i), the number of set partitions
+    of n elements into blocks of those sizes.
     """
     if n < 0 or k < 0:
         raise ValueError("Bell indices must be non-negative")
     if n == 0 and k == 0:
-        return ((Fraction(1), ()),)
+        return ((1, ()),)
     if k == 0 or n < k:
         return ()
-    results: list[tuple[Fraction, tuple[int, ...]]] = []
+    results: list[tuple[int, tuple[int, ...]]] = []
     width = n - k + 1
 
     def descend(pos: int, rem_n: int, rem_k: int, acc: tuple[int, ...]):
         if rem_n == 0 and rem_k == 0:
             lam = acc + (0,) * (width - len(acc))
-            coeff = Fraction(factorial(n))
+            denom = 1
             for i, m in enumerate(lam, start=1):
-                coeff /= factorial(m) * factorial(i) ** m
-            results.append((coeff, lam))
+                denom *= factorial(m) * factorial(i) ** m
+            results.append((factorial(n) // denom, lam))
             return
         if pos > width or rem_k <= 0 or rem_n < rem_k or rem_n > rem_k * (width):
             return
@@ -75,7 +77,7 @@ def bell_polynomial(n: int, k: int, xs: Sequence, *, one=1):
                 term = term * xs[i - 1]
         total = term if total is None else total + term
     if total is None:
-        return one * Fraction(0)
+        return one * 0
     return total
 
 
@@ -94,9 +96,4 @@ def faa_di_bruno(n: int, f_derivs: Sequence, g_derivs: Sequence, *, one=1):
 
 def bell_number(n: int) -> int:
     """Row sum sum_k B_{n,k}(1,...,1), i.e. the number of set partitions."""
-    total = Fraction(0)
-    for k in range(0, n + 1):
-        for coeff, _ in bell_template(n, k):
-            total += coeff
-    assert total.denominator == 1
-    return int(total)
+    return sum(coeff for k in range(0, n + 1) for coeff, _ in bell_template(n, k))

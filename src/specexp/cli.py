@@ -497,7 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None)
     p.add_argument("--H", type=float, default=None)
     p.add_argument("--t", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=float, default=None,
+                   help="cutoff Lambda > 0; only validated: the action rows are the "
+                        "Lambda-free coefficients of Lambda^exponent")
     p.add_argument("--maxM", dest="max_m", type=int, default=None)
     p.add_argument("--testfn", choices=("gaussian",), default=None)
     p.add_argument("--mode", choices=("action", "heat"), default=None)

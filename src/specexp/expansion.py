@@ -7,18 +7,22 @@ v-sequences
     u_n = B^(n)(t) 2^(n/2) x_n(alpha),     v_n = A^(n+1)(t) 2^(n/2) x_n(alpha),
 
 with u_0 = B and v_0 = A'; its Bell pieces are memoised per index pair and
-shared by every cell and order.  ``crm_direct`` enumerates the flat
-composition sum and serves as the oracle the tests hold ``crm_bell`` to.
-Both routes leave out the letter weights 2^(n/2).  ``integrate_bridge``
-replaces every formal letter multiset by its exact bridge moment times the
-multiset's weight 2^(degree/2), which is rational because only multisets of
-even letter degree have a nonzero moment (asserted).  ``a2M``
-combines three (r, m) cells, each an ``integrated_cell``, into the
-coefficient of tau^(2M-4) in the heat trace, pointwise in t.
+shared by every cell and order, and have int coefficients.  ``crm_direct``
+enumerates the flat composition sum and serves as the oracle the tests hold
+``crm_bell`` to.  Both routes leave out the letter weights 2^(n/2).
+``integrate_bridge`` replaces every formal letter multiset by its exact
+bridge moment times the multiset's weight 2^(degree/2), which is rational
+because only multisets of even letter degree have a nonzero moment
+(asserted).  ``integrated_cell`` does the same for the Bell blocks of a cell
+without expanding them into terms: the sum runs in ints over one
+denominator, and both integrations share that core.  ``a2M`` combines three
+(r, m) cells, each an ``integrated_cell``, into the coefficient of
+tau^(2M-4) in the heat trace, pointwise in t.
 
-Assembly is pure; terms are reduced in canonical key order so output is
-bit-identical however the work is scheduled.  The memo tables are only ever
-filled with identical values; ``_clear_caches`` empties them for cold timings.
+Assembly is pure and exact: the sums are over ints or Fractions, and the term
+lists come in canonical key order, so output is bit-identical however the
+work is scheduled.  The memo tables are only ever filled with identical
+values; ``_clear_caches`` empties them for cold timings.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .symcore import (
     DerivMonomial,
     SparsePoly,
     SymPoly,
+    _MONOMIAL_ONE,
     _acc,
     eval_numeric,
     to_a_form,
@@ -162,11 +167,12 @@ def crm_direct(r: Fraction | int, m: int, M: int) -> list[MomentTerm]:
 # ----------------------------------------------------------------------
 
 class _UVTerms(SparsePoly):
-    """Bell-evaluation carrier over the u/v sequences, coefficients in Q.
+    """Bell-evaluation carrier over the u/v sequences.
 
-    Keys are (monomial, letters) with letters a sorted tuple.  A letter
-    carries no 2^(i/2) weight: ``integrate_bridge`` applies 2^(degree/2) once
-    per letter multiset.
+    Keys are (monomial, letters) with letters a sorted tuple.  Its
+    coefficients are ints, since the letters and the Bell templates are.  A
+    letter carries no 2^(i/2) weight: the bridge integration applies
+    2^(degree/2) once per letter multiset.
     """
 
     __slots__ = ()
@@ -217,6 +223,42 @@ def _bell_pair(width: int, k: int, p: int) -> _UVTerms:
     return _UVTerms._wrap(out)
 
 
+def _cell_blocks(r: Fraction | int, m: int, order: int):
+    """The Bell blocks of C^(r,m)_{order}: (prefactor, base monomial, Bell pair).
+
+    One block per (n, k, p) with a nonzero prefactor and pair: the prefactor
+    binom(r-n,k) binom(2n+m,p) k! p! / (4^n n! (2M-2n)!), the base
+    u_0^(r-n-k) v_0^(2n+m-p) as a ``DerivMonomial`` and the terms
+    {(monomial, letters): int} of the memoised ``_bell_pair(2M-2n, k, p)``.
+    The prefactor is built from ints: binom(r-n,k) k! is the falling
+    factorial prod_j (2r-2n-2j) / 2^k and binom(2n+m,p) p! an integer one.
+    """
+    if order % 2 != 0 or order < 0:
+        raise ValueError("crm_bell expects an even non-negative target order")
+    M = order // 2
+    two_r = _half_units(r)
+    for n in range(0, M + 1):
+        width = 2 * M - 2 * n
+        top_v = 2 * n + m
+        den_n = 4**n * math.factorial(n) * math.factorial(width)
+        fall_u = 1
+        for k in range(0, width + 1):
+            if k:
+                fall_u *= two_r - 2 * n - 2 * (k - 1)
+                if not fall_u:
+                    break  # binom(r-n, k) = 0 from here on
+            fall_v = 1
+            for p in range(0, min(width - k, top_v) + 1):  # binom(2n+m, p) = 0 beyond
+                if p:
+                    fall_v *= top_v - p + 1
+                pair = _bell_pair(width, k, p)
+                if pair.is_zero():
+                    continue
+                prefactor = Fraction(fall_u * fall_v, 2**k * den_n)
+                base = DerivMonomial(two_r - 2 * n - 2 * k, ((1, top_v - p),), ())
+                yield prefactor, base, pair.terms
+
+
 def crm_bell(r: Fraction | int, m: int, order: int) -> list[MomentTerm]:
     """Terms of C^(r,m)_{order} (order = 2M even) via partial Bell polynomials.
 
@@ -225,40 +267,15 @@ def crm_bell(r: Fraction | int, m: int, order: int) -> list[MomentTerm]:
     k! p! / (4^n n! (2M-2n)!) u_0^(r-n-k) v_0^(2n+m-p)
     B_{beta,k}(u_1,...) B_{2M-2n-beta,p}(v_1,...).
 
-    The sum over beta is a memoised ``_bell_pair``.  Every term has even
-    letter degree 2M-2n, the width of its piece; its letter weight
-    2^((2M-2n)/2) is left to ``integrate_bridge``.
+    The sum over beta is a memoised ``_bell_pair``; the blocks come from
+    ``_cell_blocks``, which ``integrated_cell`` integrates without expanding
+    them into terms.  Every term has even letter degree 2M-2n, the width of
+    its piece; its letter weight 2^((2M-2n)/2) is left to ``integrate_bridge``.
     """
-    r = Fraction(r)
-    if order % 2 != 0 or order < 0:
-        raise ValueError("crm_bell expects an even non-negative target order")
-    M = order // 2
-    two_r = _half_units(r)
     total: dict = {}
-    for n in range(0, M + 1):
-        width = 2 * M - 2 * n
-        for k in range(0, width + 1):
-            bin_u = _binom_general(r - n, k)
-            if bin_u == 0:
-                continue
-            for p in range(0, width - k + 1):
-                bin_v = _binom_general(Fraction(2 * n + m), p)
-                if bin_v == 0:
-                    continue
-                pair = _bell_pair(width, k, p)
-                if pair.is_zero():
-                    continue
-                pref_np = (
-                    bin_u
-                    * bin_v
-                    * Fraction(
-                        math.factorial(k) * math.factorial(p),
-                        4**n * math.factorial(n) * math.factorial(width),
-                    )
-                )
-                base_mono = DerivMonomial(two_r - 2 * n - 2 * k, ((1, 2 * n + m - p),), ())
-                for (mono, letters), c in pair.terms.items():
-                    _acc(total, (base_mono * mono, letters), c * pref_np)
+    for prefactor, base, pair_terms in _cell_blocks(r, m, order):
+        for (mono, letters), c in pair_terms.items():
+            _acc(total, (base * mono, letters), c * prefactor)
     return [
         MomentTerm(c, mono, letters)
         for (mono, letters), c in sorted(
@@ -271,6 +288,52 @@ def crm_bell(r: Fraction | int, m: int, order: int) -> list[MomentTerm]:
 # bridge integration and heat coefficients
 # ----------------------------------------------------------------------
 
+def _weighted_moment(letters: tuple[int, ...]) -> Fraction:
+    """Bridge moment of a letter multiset times its weight 2^(degree/2).
+
+    An odd degree must have moment zero; a nonzero one signals an internal
+    inconsistency and raises ConsistencyError.
+    """
+    if not letters:
+        return Fraction(1)
+    moment = bridge.moment_product(Counter(letters))
+    degree = sum(letters)
+    if degree % 2:
+        if moment:
+            raise ConsistencyError(f"moment {moment} of odd letter degree at {letters}")
+        return Fraction(0)
+    return moment * 2 ** (degree // 2)
+
+
+def _integrate_blocks(blocks: list) -> SymPoly:
+    """Sum of prefactor * base * sum c * mono * weighted_moment(letters) over
+    ``blocks`` = [(prefactor, base, {(mono, letters): int c})], in int arithmetic.
+
+    Each distinct letter multiset's weighted moment is computed once.  The
+    prefactors are scaled to their lcm denominator D1 and the moments to
+    theirs, D2, so every monomial accumulates an int and each output
+    coefficient is one ``Fraction(num, D1 * D2)``.
+    """
+    moments: dict = {}
+    for _, _, terms in blocks:
+        for _, letters in terms:
+            if letters not in moments:
+                moments[letters] = _weighted_moment(letters)
+    d1 = math.lcm(*(prefactor.denominator for prefactor, _, _ in blocks))
+    d2 = math.lcm(*(w.denominator for w in moments.values()))
+    scaled = {letters: w.numerator * (d2 // w.denominator) for letters, w in moments.items()}
+    acc: dict[DerivMonomial, int] = {}
+    for prefactor, base, terms in blocks:
+        num = prefactor.numerator * (d1 // prefactor.denominator)
+        for (mono, letters), c in terms.items():
+            w = scaled[letters]
+            if w:
+                key = base * mono
+                acc[key] = acc.get(key, 0) + num * c * w
+    den = d1 * d2
+    return SymPoly._wrap({mono: Fraction(v, den) for mono, v in acc.items() if v})
+
+
 def integrate_bridge(terms: Iterable[MomentTerm]) -> SymPoly:
     """Replace each letter multiset by its weighted exact bridge moment and sum.
 
@@ -278,26 +341,12 @@ def integrate_bridge(terms: Iterable[MomentTerm]) -> SymPoly:
     the letters' 2^(n/2); it is applied here, once per term, and is rational
     because d is even.  A term of odd degree must integrate to zero and is
     skipped; a nonzero moment there signals an internal inconsistency and
-    raises ConsistencyError.
+    raises ConsistencyError.  The sum runs in the integer core of
+    ``integrated_cell``, one block per term.
     """
-    ordered = sorted(terms, key=lambda t: (t.sym.sort_key(), t.letters))
-    acc: dict[DerivMonomial, Fraction] = {}
-    for term in ordered:
-        if term.letters:
-            moment = bridge.moment_product(Counter(term.letters))
-            degree = sum(term.letters)
-            if degree % 2:
-                if moment:
-                    raise ConsistencyError(
-                        f"moment {moment} of odd letter degree at {term.letters}"
-                    )
-                continue
-            if moment == 0:
-                continue
-            _acc(acc, term.sym, term.scalar * moment * 2 ** (degree // 2))
-        else:
-            _acc(acc, term.sym, term.scalar)
-    return SymPoly(acc)
+    return _integrate_blocks(
+        [(Fraction(t.scalar), _MONOMIAL_ONE, {(t.sym, t.letters): 1}) for t in terms]
+    )
 
 
 R_MAIN = Fraction(-3, 2)
@@ -307,8 +356,13 @@ R_MINUS = Fraction(-1, 2)
 
 @lru_cache(maxsize=None)
 def integrated_cell(r: Fraction | int, m: int, order: int) -> SymPoly:
-    """C^(r,m)_{order} integrated against the bridge, built by ``crm_bell``."""
-    return integrate_bridge(crm_bell(r, m, order))
+    """C^(r,m)_{order} integrated against the bridge.
+
+    The Bell blocks of ``crm_bell`` are integrated directly, in int
+    arithmetic over one denominator, without expanding them into terms;
+    ``integrate_bridge(crm_bell(...))`` is the same polynomial.
+    """
+    return _integrate_blocks(list(_cell_blocks(r, m, order)))
 
 
 @lru_cache(maxsize=None)
@@ -334,8 +388,8 @@ def a2M(M: int) -> SymPoly:
 def _clear_caches() -> None:
     """Forget every memo behind ``a2M`` and ``to_a_form``: the next build is cold."""
     for memo in (a2M, integrated_cell, _bell_pair, _bell_piece, _binom_general,
-                 bell.bell_template, bridge._wick, bridge._moment, symcore._deriv_power,
-                 symcore._inverse_power_deriv):
+                 bell.bell_template, bridge._kernels, bridge._wick, bridge._moment,
+                 symcore._deriv_power, symcore._inverse_power_deriv):
         memo.cache_clear()
 
 

@@ -343,11 +343,14 @@ def spectral_action(
     geometry: Geometry,
     pole_strip=None,
 ) -> list[ExpansionTerm]:
-    """Lambda-graded spectral-action expansion on the packed geometry.
+    """Spectral-action expansion on the packed geometry, as Lambda-free rows.
 
-    Bulk rows Lambda^(4-2M) f_(4-2M) zeta_string(4-2M) c_2M; pole rows
-    tilde-f(sigma) f_sigma Res_sigma Lambda^sigma, with complex-conjugate pole
-    pairs merged into the real form 2|c| Lambda^a cos(b ln Lambda + phase).
+    Each row is the coefficient of a power Lambda^exponent: bulk rows
+    f_(4-2M) zeta_string(4-2M) c_2M at exponent 4-2M, pole rows
+    tilde-f(sigma) f_sigma Res_sigma at exponent sigma, with complex-conjugate
+    pole pairs merged into the real form 2|c| Lambda^a cos(b ln Lambda + phase).
+    ``lam`` is only validated (it must be positive): the rows do not depend on
+    it, and a caller evaluates a row at a cutoff with ``term_value(row, lam)``.
     """
     if lam <= 0:
         raise ValueError("Lambda must be positive")
@@ -401,6 +404,9 @@ def s4_packing_action_terms(
     """
     strip = pole_strip if pole_strip is not None else ((-8.5, 4.5), (-46.0, 46.0))
     rows: list[ExpansionTerm] = []
+    # zeta_D is real on the real axis, so its value at a conjugate pole is the
+    # conjugate of its partner's: one evaluation per pair
+    zeta_d: dict[complex, complex] = {}
 
     def f_of(alpha):
         if moments is None:
@@ -441,7 +447,11 @@ def s4_packing_action_terms(
                 else _coeff_mul(weight, p.residue)
             )
         else:
-            coeff = zeta_mod.dirac_zeta_s4(sigma) / 2.0 * p.residue
+            if sigma.conjugate() in zeta_d:
+                zeta_d[sigma] = zeta_d[sigma.conjugate()].conjugate()
+            else:
+                zeta_d[sigma] = zeta_mod.dirac_zeta_s4(sigma)
+            coeff = zeta_d[sigma] / 2.0 * p.residue
         coeff = _coeff_mul(coeff, f_of(sigma))
         rows.append(ExpansionTerm(sigma, coeff, "pole", sigma))
     return rows

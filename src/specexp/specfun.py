@@ -124,6 +124,7 @@ def dawson_simplex_closed_form(n: int, u: Sequence[float]) -> float:
 
     Terms are read from the bundled structured list: each contributes
     coeff * F(S/(2 sqrt2)) * prod(u_k) / prod(interval sums), all times sqrt2.
+    An interval sum u_a + ... + u_b that is 0 raises ValueError.
     """
     terms = _dawson_terms().get(str(n))
     if terms is None:
@@ -137,7 +138,12 @@ def dawson_simplex_closed_form(n: int, u: Sequence[float]) -> float:
         for k in t["num"]:
             val *= u[k - 1]
         for a, b in t["den"]:
-            val /= sum(u[a - 1 : b])
+            den = sum(u[a - 1 : b])
+            if den == 0:
+                raise ValueError(
+                    f"the closed form for n = {n} divides by the interval sum of u_{a}..u_{b}, "
+                    f"which is 0 at u = {u}")
+            val /= den
         total += val
     return total * SQRT2
 

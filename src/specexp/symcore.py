@@ -9,11 +9,13 @@ derivatives A^(i), B^(i), allowing half-integer powers of B (stored in half
 units).  ``AFormPoly`` works directly in the scale factor a(t) and its
 derivatives, with a single signed power of a per monomial.  Both have
 coefficients in Q, the only coefficient field of the package: the 2^(n/2)
-weights of the expansion letters are applied by ``expansion.integrate_bridge``
-at even letter degree, where they are rational.  The other carriers are
-``bridge.VPoly`` (simplex variables) and ``expansion._UVTerms`` (Bell
-assembly).  All are canonical, so structural equality is mathematical
-equality.
+weights of the expansion letters are applied by ``expansion.integrated_cell``
+and ``expansion.integrate_bridge`` at even letter degree, where they are
+rational.  A coefficient is an ``int`` or a ``Fraction``, so integer-valued
+polynomials (Bell pieces, the images of 1/a^p) stay in int arithmetic.  The
+other carriers are ``bridge.VPoly`` (simplex variables) and
+``expansion._UVTerms`` (Bell assembly).  All are canonical, so structural
+equality is mathematical equality.
 
 ``to_a_form`` substitutes A = 1/a, B = 1/a^2 by a multivariate Horner
 scheme over memoised images of A^(k) and B^(k), each the formal derivative
@@ -57,6 +59,11 @@ class FloatRangeError(OverflowError):
     a product overflowed, or the terms summed to inf - inf."""
 
 
+def _rational(coeff):
+    """An ``int`` as it is, anything else as a ``Fraction``."""
+    return coeff if type(coeff) is int else Fraction(coeff)
+
+
 def _acc(out: dict, key, coeff) -> None:
     """out[key] += coeff, dropping the key when the sum is zero."""
     if key in out:
@@ -68,8 +75,12 @@ def _acc(out: dict, key, coeff) -> None:
 
 
 class SparsePoly:
-    """Immutable canonical map monomial -> nonzero ``Fraction`` coefficient.
+    """Immutable canonical map monomial -> nonzero rational coefficient.
 
+    A coefficient is kept as an ``int`` when it is given as one and as a
+    ``Fraction`` otherwise, so a polynomial built from integers multiplies
+    without a gcd.  ``int == Fraction`` and their hashes agree, so equality,
+    hashing and rendering do not depend on which one a coefficient is.
     The ring operations live here once.  A subclass supplies its monomial
     product ``_mono_mul``, its key normalisation ``_key`` (applied by the
     constructor), its constant monomial ``_ONE_KEY`` and the ``_sort_key`` of
@@ -86,7 +97,7 @@ class SparsePoly:
         if terms:
             key = self._key
             for mono, coeff in terms.items():
-                _acc(clean, key(mono), Fraction(coeff))
+                _acc(clean, key(mono), _rational(coeff))
         object.__setattr__(self, "terms", clean)
 
     @classmethod
@@ -142,7 +153,7 @@ class SparsePoly:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _rational(c)
         if not c:
             return self.zero()
         return self._wrap({m: k * c for m, k in self.terms.items()})
@@ -203,16 +214,51 @@ def _normalize_exp(exp) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((i, e) for i, e in merged.items() if e != 0))
 
 
+def _merge_exp(e1, e2) -> tuple[tuple[int, int], ...]:
+    """Sum of two normalised sparse exponent tuples, normalised: a sorted merge."""
+    if not e1:
+        return e2
+    if not e2:
+        return e1
+    if len(e1) == 1 and len(e2) == 1:
+        (i, x), (j, y) = e1[0], e2[0]
+        if i != j:
+            return e1 + e2 if i < j else e2 + e1
+        return ((i, x + y),) if x + y else ()
+    out = []
+    n1, n2 = len(e1), len(e2)
+    a = b = 0
+    while a < n1 and b < n2:
+        (i, x), (j, y) = e1[a], e2[b]
+        if i < j:
+            out.append(e1[a])
+            a += 1
+        elif j < i:
+            out.append(e2[b])
+            b += 1
+        else:
+            if x + y:
+                out.append((i, x + y))
+            a += 1
+            b += 1
+    out.extend(e1[a:])
+    out.extend(e2[b:])
+    return tuple(out)
+
+
 class DerivMonomial:
     """B^(b_half/2) * prod A^(i)^a_i * prod B^(i)^b_i, exponents sparse."""
 
     __slots__ = ("b_half", "a_exp", "b_exp", "_hash")
 
     def __init__(self, b_half: int = 0, a_exp=(), b_exp=()):
-        object.__setattr__(self, "b_half", int(b_half))
-        object.__setattr__(self, "a_exp", _normalize_exp(a_exp))
-        object.__setattr__(self, "b_exp", _normalize_exp(b_exp))
-        object.__setattr__(self, "_hash", hash((self.b_half, self.a_exp, self.b_exp)))
+        self._set(int(b_half), _normalize_exp(a_exp), _normalize_exp(b_exp))
+
+    def _set(self, b_half: int, a_exp, b_exp) -> None:
+        object.__setattr__(self, "b_half", b_half)
+        object.__setattr__(self, "a_exp", a_exp)
+        object.__setattr__(self, "b_exp", b_exp)
+        object.__setattr__(self, "_hash", hash((b_half, a_exp, b_exp)))
 
     def __setattr__(self, *_):
         raise AttributeError("DerivMonomial is immutable")
@@ -225,11 +271,14 @@ class DerivMonomial:
         return (self.b_half, self.a_exp, self.b_exp)
 
     def __mul__(self, other: "DerivMonomial") -> "DerivMonomial":
-        return DerivMonomial(
+        # both exponent tuples are already normalised: merge, do not re-validate
+        out = object.__new__(DerivMonomial)
+        out._set(
             self.b_half + other.b_half,
-            self.a_exp + other.a_exp,
-            self.b_exp + other.b_exp,
+            _merge_exp(self.a_exp, other.a_exp),
+            _merge_exp(self.b_exp, other.b_exp),
         )
+        return out
 
     def __eq__(self, other):
         return (

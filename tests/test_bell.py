@@ -60,6 +60,15 @@ class TestValues:
             total += term
         assert bell.bell_polynomial(6, 3, [Fraction(x) for x in xs]) == total
 
+    def test_templates_are_exact_ints(self):
+        for n in range(0, 11):
+            for k in range(0, n + 1):
+                for coeff, lam in bell.bell_template(n, k):
+                    assert type(coeff) is int
+                    denom = math.prod(math.factorial(m) * math.factorial(i) ** m
+                                      for i, m in enumerate(lam, start=1))
+                    assert coeff * denom == math.factorial(n), (n, k, lam)
+
     def test_row_sums_are_bell_numbers(self):
         for n in range(0, 11):
             assert bell.bell_number(n) == brute_partition_count(n)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from specexp import bridge
+from specexp import bell, bridge
 from specexp import expansion as ex
 from specexp import pscc
 from specexp import symcore as sc
@@ -98,6 +98,66 @@ class TestCrmBell:
         assert bridge._moment.cache_info().currsize == 0
         cold = ex.a2M(3)
         assert cold == warm and cold is not warm
+
+
+def _lru_caches(module):
+    return {name: fn for name, fn in vars(module).items()
+            if callable(getattr(fn, "cache_info", None))
+            and getattr(fn, "__module__", None) == module.__name__}
+
+
+def test_clear_caches_empties_every_memo():
+    # crm_direct's composition table is the one memo a2M does not use
+    allowed = {"specexp.expansion._compositions_list"}
+    ex.crm_direct(R_MAIN, 0, 4)
+    sc.to_a_form(ex.a2M(3))
+    ex._clear_caches()
+    memos = {f"{module.__name__}.{name}": fn
+             for module in (bell, bridge, ex, sc) for name, fn in _lru_caches(module).items()}
+    assert "specexp.bridge._kernels" in memos and len(memos) >= 12
+    warm = {name for name, fn in memos.items() if fn.cache_info().currsize}
+    assert warm <= allowed, warm - allowed
+
+
+class TestIntegerRoute:
+    @staticmethod
+    def _check_cells(M):
+        for r, m in PAIRS:
+            cell = ex.integrated_cell(r, m, 2 * M)
+            assert cell == ex.integrate_bridge(ex.crm_bell(r, m, 2 * M)), (r, m, M)
+            assert cell == ex.integrate_bridge(ex.crm_direct(r, m, 2 * M)), (r, m, M)
+
+    @pytest.mark.parametrize("M", range(5))
+    def test_integrated_cell_matches_both_routes(self, M):
+        self._check_cells(M)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("M", [5, 6])
+    def test_integrated_cell_matches_both_routes_high(self, M):
+        self._check_cells(M)
+
+    def test_bell_pairs_are_integer(self):
+        for width in range(0, 9, 2):
+            for k in range(width + 1):
+                for p in range(width - k + 1):
+                    pair = ex._bell_pair(width, k, p)
+                    assert all(type(c) is int for c in pair.terms.values())
+
+    def test_coefficients_are_exact_rationals(self):
+        for M in range(7):
+            poly = ex.a2M(M)
+            assert poly.terms
+            assert all(type(c) in (int, Fraction) for c in poly.terms.values()), M
+
+    def test_nonzero_odd_degree_moment_raises_in_the_cell(self, monkeypatch):
+        # every Bell block has even letter degree; plant one of odd degree
+        bogus = ex._UVTerms({(sc.DerivMonomial(0, ((2, 1),), ((1, 1),)), (1, 2)): 1})
+        monkeypatch.setattr(ex, "_bell_pair", lambda width, k, p: bogus)
+        monkeypatch.setattr(ex.bridge, "moment_product", lambda spec: Fraction(1))
+        with pytest.raises(ex.ConsistencyError):
+            ex.integrated_cell.__wrapped__(R_MAIN, 0, 4)
+        monkeypatch.setattr(ex.bridge, "moment_product", lambda spec: Fraction(0))
+        assert ex.integrated_cell.__wrapped__(R_MAIN, 0, 4).is_zero()
 
 
 class TestIntegrateBridge:

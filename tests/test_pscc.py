@@ -160,6 +160,17 @@ class TestSpectralAction:
             assert type(row.coeff) is Fraction
             assert row.coeff == heat_row.coeff * g.moment(4 - 2 * row.provenance)
 
+    def test_rows_do_not_depend_on_lambda(self):
+        g = pscc.gaussian_test_function()
+        for string, geometry in ((zt.FordString(), pscc.S4Geometry()),
+                                 (two_ball_string(), RW_MATTER)):
+            at3 = pscc.spectral_action(string, g, 3.0, 2, geometry)
+            at300 = pscc.spectral_action(string, g, 300.0, 2, geometry)
+            assert at3 == at300
+        for lam in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                pscc.spectral_action(zt.FordString(), g, lam, 2, pscc.S4Geometry())
+
     def test_ford_log_periodic_merge(self):
         terms = pscc.spectral_action(
             zt.FordString(), pscc.gaussian_test_function(), 100.0, 2, pscc.S4Geometry()
@@ -293,6 +304,28 @@ class TestPackingTemplate:
             want = numeric.get(-k, 0.0)
             assert abs(float(coeff) - want) <= 1e-12 * abs(want), k
 
+
+    def test_one_dirac_zeta_per_conjugate_pair(self, monkeypatch):
+        calls = []
+        real = zt.dirac_zeta_s4
+
+        def counted(s, *args):
+            calls.append(complex(s))
+            return real(s, *args)
+
+        monkeypatch.setattr(zt, "dirac_zeta_s4", counted)
+        g = pscc.gaussian_test_function()
+        rows = pscc.s4_packing_action_terms(zt.FordString(), g)
+        assert len(calls) == 25 == len({(s.real, abs(s.imag)) for s in calls})
+        # each row as evaluating zeta_D at its own pole gives it, bit for bit
+        poles = {complex(p.sigma): p for p in zt.string_poles(
+            zt.FordString(), ((-8.5, 4.5), (-46.0, 46.0)))}
+        complex_rows = [t for t in rows if t.kind == "pole" and abs(complex(t.exponent).imag) > 1]
+        assert len(complex_rows) == 50
+        for t in complex_rows:
+            sigma = complex(t.exponent)
+            want = real(sigma) / 2.0 * poles[sigma].residue * g.moment(sigma)
+            assert repr(t.coeff) == repr(want), sigma
 
     def test_gaussian_moments_with_default_strip(self):
         # zeta_D vanishes at -1, -3, -5, -7, where the Gaussian has no moment

@@ -160,6 +160,15 @@ class TestDawsonSimplex:
         with pytest.raises(ValueError):
             sf.verify_dawson_simplex(2, [1.0, -1.0])
 
+    def test_zero_interval_sum_is_a_typed_failure(self):
+        # u_1 + u_2 = 0 and u_2 + u_3 = 0 are denominators of the closed forms
+        with pytest.raises(ValueError, match=r"u_1\.\.u_2"):
+            sf.dawson_simplex_closed_form(2, [1.0, -1.0])
+        with pytest.raises(ValueError, match=r"u_2\.\.u_3"):
+            sf.dawson_simplex_closed_form(3, [1.0, 0.5, -0.5])
+        with pytest.raises(ValueError, match=r"u_1\.\.u_1"):
+            sf.dawson_simplex_closed_form(1, [0.0])
+
     def test_n4_gauss(self):
         spec = sf.QuadratureSpec(tolerance=1e-5)
         lhs, rhs, ok = sf.verify_dawson_simplex(4, [1.1, 0.6, 1.4, 0.8], spec)

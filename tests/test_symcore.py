@@ -254,6 +254,40 @@ def test_carrier_contract(make):
         p.terms = {}
 
 
+def test_int_coefficients_stay_int():
+    x = sc.SymPoly({sc.DerivMonomial(-3): 4, sc.DerivMonomial(0, ((1, 1),)): -2})
+    for p in (x * x, x + x, -x, x ** 3, x.scale(5), 3 * x):
+        assert all(type(c) is int for c in p.terms.values())
+    assert {type(c) for c in x.scale(Fraction(1, 2)).terms.values()} == {Fraction}
+    assert {type(c) for c in (x + x.scale(Fraction(1, 3))).terms.values()} == {Fraction}
+    assert type(sc.SymPoly({sc.DerivMonomial(0): 0.5}).terms[sc.DerivMonomial(0)]) is Fraction
+    assert type(sc.SymPoly({sc.DerivMonomial(0): True}).terms[sc.DerivMonomial(0)]) is Fraction
+    # an int coefficient is equal to, hashes and renders as the equal Fraction
+    y = sc.SymPoly({m: Fraction(c) for m, c in x.terms.items()})
+    assert y == x and hash(y) == hash(x)
+    assert sc.sympoly_to_json(y) == sc.sympoly_to_json(x)
+    assert sc.sympoly_to_text(y) == sc.sympoly_to_text(x)
+    assert sc.sympoly_to_latex(y) == sc.sympoly_to_latex(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomials(), monomials())
+def test_monomial_product_is_the_normalised_exponent_sum(m1, m2):
+    got = m1 * m2
+    want = sc.DerivMonomial(m1.b_half + m2.b_half, m1.a_exp + m2.a_exp, m1.b_exp + m2.b_exp)
+    assert got == want and hash(got) == hash(want)
+    assert (got.b_half, got.a_exp, got.b_exp) == (want.b_half, want.a_exp, want.b_exp)
+
+
+def test_monomial_product_cancels_exponents():
+    m = sc.DerivMonomial(1, ((2, 1), (3, 2)), ((1, 1),))
+    inv = sc.DerivMonomial(-1, ((2, -1), (3, -2)), ((1, -1),))
+    assert m * inv == sc.DerivMonomial(0) and (m * inv).a_exp == () == (m * inv).b_exp
+    one = sc.DerivMonomial(0, ((2, 1),))
+    assert (one * sc.DerivMonomial(0, ((2, -1),))).a_exp == ()
+    assert (one * sc.DerivMonomial(0, ((1, 1),))).a_exp == ((1, 1), (2, 1))
+
+
 def test_mixed_carriers_raise_type_error():
     v, a = bridge.VPoly.var(1), sc.AFormPoly.deriv(1)
     with pytest.raises(TypeError):
