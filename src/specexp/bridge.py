@@ -433,11 +433,6 @@ def _moment(key: tuple[tuple[int, int], ...]) -> Fraction:
 # even moments of x_1 through the permutation/index-tuple formula
 # ----------------------------------------------------------------------
 
-def _canonical_matchings(n: int):
-    """Matchings of {1..2n} as tuples ((a_1,b_1),...) with a_i<b_i, a_1<a_2<..."""
-    yield from _pairings(tuple(range(1, 2 * n + 1)))
-
-
 def x1_even_moment(n: int) -> Fraction:
     """Bridge moment of x_1(alpha)^(2n) via the matching/J-tuple expansion.
 
@@ -451,7 +446,7 @@ def x1_even_moment(n: int) -> Fraction:
     if n == 0:
         return Fraction(1)
     total = Fraction(0)
-    for matching in _canonical_matchings(n):
+    for matching in _pairings(tuple(range(1, 2 * n + 1))):
         firsts = [a for a, _ in matching]
         seconds = [b for _, b in matching]
         for k in range(0, n + 1):

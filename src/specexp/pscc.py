@@ -9,6 +9,12 @@ model-series Mellin transform (the transform is only determined by the
 asymptotic series up to an entire function, and that singular part is what
 the truncated-series transform reproduces pole by pole).
 
+One core, ``_singular_rows``, builds every packed expansion: the transform
+of sum_r f(x/r) is zeta_string(s) F(s), each pole alpha of F gives a bulk row
+zeta_string(alpha) Res F, each string pole sigma a row F(sigma) Res zeta_string,
+and a string pole on a pole of F raises ``CollisionError``.  The summed f is
+real, so F is real on the real axis and is evaluated once per conjugate pair.
+
 Non-round scaling (spatial sections only) produces zeta-regularized bulk
 weights at s = 3 and s = 1; its pole terms have no closed form and are out of
 scope, so ``nonround_zeta_coefficients`` emits the bulk series only.
@@ -26,10 +32,9 @@ from typing import Callable, Sequence
 
 from . import expansion as exp_mod
 from . import zeta as zeta_mod
-from .expansion import ScaleFactor, rescale_uv, term_scaling_exponent, verify_uv_scaling
+from .expansion import ScaleFactor, rescale_uv
 from .specfun import gamma_complex
 from .zeta import (
-    AnalyticString,
     ExactToken,
     FordString,
     FractalString,
@@ -37,7 +42,6 @@ from .zeta import (
     PoleTerm,
     TruncatedString,
     string_poles,
-    string_zeta,
 )
 
 __all__ = [
@@ -64,7 +68,8 @@ __all__ = [
 
 
 class CollisionError(ValueError):
-    """A string pole collides with a bulk exponent (hypothesis violation)."""
+    """A string pole lies on a pole of the transform, such as a bulk exponent
+    (hypothesis violation)."""
 
 
 _COLLISION_TOL = 1e-9
@@ -170,15 +175,19 @@ def _bulk_coefficient(geometry: Geometry, M: int):
     )
 
 
-def _string_zeta_value(string: FractalString, n: int):
-    """Prefer the exact token/Fraction at integer arguments."""
+def _string_zeta_value(string: FractalString, s):
+    """zeta_string(s), exact (token or Fraction) at an ``int`` s where the
+    string allows it.  A complex s is evaluated as given, at its real part
+    when it is real."""
+    if not isinstance(s, int):
+        return string.zeta(s if s.imag else s.real)
     if isinstance(string, FordString):
-        return zeta_mod.ford_zeta_exact(n)
+        return zeta_mod.ford_zeta_exact(s)
     if isinstance(string, TruncatedString) and string.pairs is not None and all(
         isinstance(r, (int, Fraction)) for r, _ in string.pairs
     ):
-        return string.zeta(n)
-    return string.zeta(complex(n))
+        return string.zeta(s)
+    return string.zeta(complex(s))
 
 
 def _coeff_mul(a, b):
@@ -199,36 +208,63 @@ def _coeff_mul(a, b):
     return out
 
 
-def _check_collisions(poles: Sequence[PoleTerm], max_m: int):
+def _once_per_conjugate_pair(fn: Callable[[complex], complex]) -> Callable[[complex], complex]:
+    """fn, evaluated once per conjugate pair of the distinct points it is given.
+
+    fn must be real on the real axis, so its value at a conjugate point is the
+    conjugate of its value: the first member of a pair is evaluated and the
+    second reuses it.
+    """
+    values: dict[complex, complex] = {}
+
+    def value(sigma: complex) -> complex:
+        if sigma.conjugate() in values:
+            values[sigma] = values[sigma.conjugate()].conjugate()
+        else:
+            values[sigma] = fn(sigma)
+        return values[sigma]
+
+    return value
+
+
+def _singular_rows(string: FractalString, transform, transform_poles, strip):
+    """Singular expansion of the Mellin transform zeta_string(s) F(s).
+
+    ``transform_poles`` lists the poles of F as (alpha, residue c, name); each
+    gives a bulk value zeta_string(alpha) c, in order.  A residue of None
+    marks a pole of F past the truncation: it gives no value but is checked
+    like the others.  Each string pole sigma in the strip gives a pole row
+    (sigma, F(sigma) Res_sigma), with F evaluated once per conjugate pair.
+    A string pole on a pole of F raises CollisionError naming that pole.
+    """
+    poles = string_poles(string, strip)
     for p in poles:
         sigma = complex(p.sigma)
-        if abs(sigma.imag) < _COLLISION_TOL:
-            for M in range(0, max_m + 1):
-                if abs(sigma.real - (4 - 2 * M)) < _COLLISION_TOL:
-                    raise CollisionError(
-                        f"string pole at {sigma.real} collides with the bulk "
-                        f"exponent 4-2M for M={M}"
-                    )
-
-
-def _default_strip(max_m: int):
-    return ((4.0 - 2.0 * max_m, 4.5), (-46.0, 46.0))
+        for alpha, _, name in transform_poles:
+            if abs(sigma - alpha) < _COLLISION_TOL:
+                shown = sigma.real if sigma.imag == 0 else sigma
+                raise CollisionError(f"string pole at {shown} collides with {name}")
+    bulk = [
+        _coeff_mul(_string_zeta_value(string, alpha), c)
+        for alpha, c, _ in transform_poles
+        if c is not None
+    ]
+    value = _once_per_conjugate_pair(transform)
+    return bulk, [(complex(p.sigma), value(complex(p.sigma)) * p.residue) for p in poles]
 
 
 def heat_mellin_model(coeffs: Sequence[tuple[int, float]], sigma: complex) -> complex:
-    """Mellin transform of the truncated model series sum c Jahre tau^(2M-4).
+    """Mellin transform of the truncated model series sum c tau^(2M-4).
 
     Each power tau^p contributes 1/(sigma + p) (the analytic continuation of
     its unit-interval Mellin integral; the tail carries no extra information
     about the asymptotic series).  Poles and residues reproduce the duality
-    between series terms and transform poles.
+    between series terms and transform poles.  ``_singular_rows`` checks every
+    string pole against those poles before it asks for a value.
     """
     total = 0j
     for p, c in coeffs:
-        den = sigma + p
-        if abs(den) < _COLLISION_TOL:
-            raise CollisionError(f"Mellin value requested at the series pole -({p})")
-        total += c / den
+        total += c / (sigma + p)
     return total
 
 
@@ -242,36 +278,31 @@ def _heat_mellin(geometry: Geometry, sigma: complex, bulk: Sequence) -> complex:
     return heat_mellin_model([(2 * M - 4, c) for M, c in enumerate(bulk)], sigma)
 
 
-def _round_scaling(string: FractalString, max_m: int, geometry: Geometry, pole_strip):
-    """What both round-scaling expansions share.
+def _round_scaling(string, max_m, geometry, pole_strip, moments=None):
+    """Bulk values zeta_string(4-2M) c_2M for M = 0..max_m and the pole rows
+    of the round-scaled expansion, from ``_singular_rows``.
 
-    Returns the bulk products zeta_string(4-2M) c_2M for M = 0..max_m and one
-    (sigma, tilde-f(sigma), residue) triple per string pole in the strip.
-    Raises CollisionError when a pole sits on a bulk exponent (the expansion
-    hypothesis requires the string zeta regular at the integers <= 4).
+    F is the heat trace's transform tilde-f, times f_sigma when ``moments``
+    is given.  The bulk exponents 4-2M are the poles of tilde-f; on S^4 it
+    has one at every 4-2M, so those past max_m are checked against the strip
+    too.  The RW model transform has none past max_m.
     """
     if max_m < 0:
         raise ValueError("max_m must be non-negative")
-    strip = pole_strip if pole_strip is not None else _default_strip(max_m)
-    poles = string_poles(string, strip)
-    _check_collisions(poles, max_m)
+    strip = pole_strip if pole_strip is not None else ((4.0 - 2.0 * max_m, 4.5), (-46.0, 46.0))
     bulk = [_bulk_coefficient(geometry, M) for M in range(0, max_m + 1)]
-    products = [
-        _coeff_mul(_string_zeta_value(string, 4 - 2 * M), c2m) for M, c2m in enumerate(bulk)
+    s4 = isinstance(geometry, S4Geometry)
+    reach = max(max_m, math.floor((4.0 - strip[0][0]) / 2.0)) if s4 else max_m
+    transform_poles = [
+        (4 - 2 * M, bulk[M] if M <= max_m else None, f"the bulk exponent 4-2M for M={M}")
+        for M in range(0, reach + 1)
     ]
-    # tilde-f is real on the real axis for both geometries (the S^4 weight,
-    # and the RW model transform with real coefficients), so each conjugate
-    # pole pair needs one evaluation
-    weights: dict[complex, complex] = {}
-    triples = []
-    for p in poles:
-        sigma = complex(p.sigma)
-        if sigma.conjugate() in weights:
-            weights[sigma] = weights[sigma.conjugate()].conjugate()
-        else:
-            weights[sigma] = _heat_mellin(geometry, sigma, bulk)
-        triples.append((sigma, weights[sigma], p.residue))
-    return products, triples
+
+    def transform(s):
+        weight = _heat_mellin(geometry, s, bulk)
+        return weight if moments is None else weight * moments.moment(s)
+
+    return _singular_rows(string, transform, transform_poles, strip)
 
 
 def round_heat_expansion(
@@ -285,16 +316,11 @@ def round_heat_expansion(
     Bulk terms tau^(2M-4) zeta_string(4-2M) c_2M plus, for every string pole
     sigma in the strip, a term tilde-f(sigma) Res_sigma tau^(-sigma).
     """
-    products, triples = _round_scaling(string, max_m, geometry, pole_strip)
-    terms = [
+    bulk, pole_rows = _round_scaling(string, max_m, geometry, pole_strip)
+    return [
         ExpansionTerm(exponent=Fraction(2 * M - 4), coeff=c, kind="bulk", provenance=M)
-        for M, c in enumerate(products)
-    ]
-    for sigma, weight, residue in triples:
-        terms.append(
-            ExpansionTerm(exponent=-sigma, coeff=weight * residue, kind="pole", provenance=sigma)
-        )
-    return terms
+        for M, c in enumerate(bulk)
+    ] + [ExpansionTerm(-sigma, c, "pole", sigma) for sigma, c in pole_rows]
 
 
 # ----------------------------------------------------------------------
@@ -354,9 +380,9 @@ def spectral_action(
     """
     if lam <= 0:
         raise ValueError("Lambda must be positive")
-    products, triples = _round_scaling(string, max_m, geometry, pole_strip)
+    bulk, pole_rows = _round_scaling(string, max_m, geometry, pole_strip, moments)
     terms: list[ExpansionTerm] = []
-    for M, zc in enumerate(products):
+    for M, zc in enumerate(bulk):
         alpha = 4 - 2 * M
         f_alpha = moments.f0 if alpha == 0 else moments.moment(alpha)
         terms.append(
@@ -367,9 +393,6 @@ def spectral_action(
                 provenance=M,
             )
         )
-    pole_rows = [
-        (sigma, weight * moments.moment(sigma) * residue) for sigma, weight, residue in triples
-    ]
     for sigma, c, log_periodic in _merge_conjugate_poles(pole_rows):
         terms.append(
             ExpansionTerm(
@@ -404,9 +427,6 @@ def s4_packing_action_terms(
     """
     strip = pole_strip if pole_strip is not None else ((-8.5, 4.5), (-46.0, 46.0))
     rows: list[ExpansionTerm] = []
-    # zeta_D is real on the real axis, so its value at a conjugate pole is the
-    # conjugate of its partner's: one evaluation per pair
-    zeta_d: dict[complex, complex] = {}
 
     def f_of(alpha):
         if moments is None:
@@ -429,6 +449,7 @@ def s4_packing_action_terms(
                 Fraction(alpha), _coeff_mul(half, f_of(alpha)), "bulk", f"Lambda^{alpha}"
             )
         )
+    zeta_d = _once_per_conjugate_pair(zeta_mod.dirac_zeta_s4)
     for p in string_poles(string, strip):
         sigma = complex(p.sigma)
         if abs(sigma.imag) < 1e-12 and abs(sigma.real - round(sigma.real)) < 1e-12 and round(
@@ -447,11 +468,7 @@ def s4_packing_action_terms(
                 else _coeff_mul(weight, p.residue)
             )
         else:
-            if sigma.conjugate() in zeta_d:
-                zeta_d[sigma] = zeta_d[sigma.conjugate()].conjugate()
-            else:
-                zeta_d[sigma] = zeta_mod.dirac_zeta_s4(sigma)
-            coeff = zeta_d[sigma] / 2.0 * p.residue
+            coeff = zeta_d(sigma) / 2.0 * p.residue
         coeff = _coeff_mul(coeff, f_of(sigma))
         rows.append(ExpansionTerm(sigma, coeff, "pole", sigma))
     return rows
@@ -573,7 +590,9 @@ class MellinFunction:
     """A Mellin transform: evaluator plus its table of simple poles.
 
     A pole at alpha with residue c corresponds to the term c u^(-alpha) in the
-    small-argument expansion of the inverse transform.
+    small-argument expansion of the inverse transform.  The transformed f is
+    real, so the evaluator is real on the real axis: its value at a conjugate
+    point is taken as the conjugate of its value.
     """
 
     evaluator: Callable[[complex], complex]
@@ -596,38 +615,18 @@ def singular_expansion_combine(
 
     The transform of g is zeta_string(z) M(f)(z); its singular expansion
     merges the poles of M(f) (weighted by string zeta values) with the poles
-    of the string zeta (weighted by M(f) values).  The two pole sets must be
-    disjoint.
+    of the string zeta (weighted by M(f) values), with M(f) evaluated once
+    per conjugate pair of string poles (f is real, so M(f) is real on the
+    real axis).  The two pole sets must be disjoint.
     """
-    string_pole_list = string_poles(string)
-    for pf in mellin_of_f.poles:
-        for ps in string_pole_list:
-            if abs(complex(pf.sigma) - complex(ps.sigma)) < _COLLISION_TOL:
-                raise CollisionError(
-                    f"pole of the transform at {pf.sigma} collides with a string pole"
-                )
-    terms: list[ExpansionTerm] = []
-    for pf in mellin_of_f.poles:
-        alpha = complex(pf.sigma)
-        weight = string_zeta(string, alpha if alpha.imag else alpha.real)
-        terms.append(
-            ExpansionTerm(
-                exponent=-alpha,
-                coeff=_coeff_mul(weight, pf.residue),
-                kind="bulk",
-                provenance=alpha,
-            )
-        )
-    for ps in string_pole_list:
-        sigma = complex(ps.sigma)
-        terms.append(
-            ExpansionTerm(
-                exponent=-sigma,
-                coeff=mellin_of_f.evaluator(sigma) * ps.residue,
-                kind="pole",
-                provenance=sigma,
-            )
-        )
+    transform_poles = [
+        (complex(p.sigma), p.residue, f"the transform pole at {p.sigma}")
+        for p in mellin_of_f.poles
+    ]
+    bulk, pole_rows = _singular_rows(string, mellin_of_f.evaluator, transform_poles, None)
+    terms = [
+        ExpansionTerm(-alpha, c, "bulk", alpha) for (alpha, _, _), c in zip(transform_poles, bulk)
+    ] + [ExpansionTerm(-sigma, c, "pole", sigma) for sigma, c in pole_rows]
     terms.sort(key=lambda t: (complex(t.exponent).real, complex(t.exponent).imag))
     return terms
 

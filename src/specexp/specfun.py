@@ -339,7 +339,6 @@ def verify_mellin_pm(
     cm = mellin_fs_minus(z, U, V)
     cp = mellin_fs_plus(z, U, V)
     cs = mellin_fs_sum(z, U, V)
-    scale_ok = True
     a = 0.5
     lhs_scaled = -0.25 * a**complex(z) * kummer_h(z, U, V) + a ** (
         complex(z) + 2.0

@@ -43,7 +43,6 @@ __all__ = [
     "TruncatedString",
     "AnalyticString",
     "PoleTerm",
-    "string_zeta",
     "string_poles",
     "dirac_zeta_s4",
     "dirac_zeta_s4_exact",
@@ -428,11 +427,6 @@ def ford_zeta_exact(n: int) -> ExactToken:
     if den.rat == 0:
         raise PoleError(f"zeta({2 * n}) = 0")
     return ExactToken(Fraction(1, 2 ** n)) * num / den
-
-
-def string_zeta(string: FractalString, s):
-    """Dispatch the string zeta: closed form, finite sum, or user evaluator."""
-    return string.zeta(s)
 
 
 # -- zero ordinate table -------------------------------------------------

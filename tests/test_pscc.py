@@ -114,6 +114,24 @@ class TestRoundHeatExpansion:
             direct = pscc._heat_mellin(geometry, sigma, bulk) * zt._ford_pole(sigma).residue
             assert abs(c - direct) <= 1e-14 * abs(direct), sigma
 
+    # reaches the Ford pole at -2, the S^4 bulk exponent at M = 3
+    DEEP_STRIP = ((-2.5, 4.5), (-46.0, 46.0))
+
+    def test_strip_on_a_bulk_exponent_past_max_m(self):
+        # tilde-f on S^4 has a pole at every 4-2M, so a string pole there is a
+        # collision even past max_m; the RW model transform has none past max_m
+        g = pscc.gaussian_test_function()
+        for expand in (
+            lambda geo: pscc.round_heat_expansion(zt.FordString(), 2, geo, self.DEEP_STRIP),
+            lambda geo: pscc.spectral_action(zt.FordString(), g, 10.0, 2, geo, self.DEEP_STRIP),
+        ):
+            with pytest.raises(pscc.CollisionError, match=r"-2\.0 .*for M=3"):
+                expand(pscc.S4Geometry())
+        strip = ((-8.5, 4.5), (-46.0, 46.0))
+        terms = pscc.round_heat_expansion(zt.FordString(), 2, RW_MATTER, strip)
+        poles = [t.provenance for t in terms if t.kind == "pole"]
+        assert [s for s in poles if s.imag == 0] == [complex(-k, 0) for k in range(8, 0, -1)] + [1]
+
     def test_rw_geometry_runs(self):
         geo = pscc.RWGeometry(ex.scale_factor("inflation", 1.0), 0.4)
         terms = pscc.round_heat_expansion(unit_string(), 2, geo)
@@ -263,6 +281,29 @@ class TestSpectralAction:
             else:
                 assert abs(row.log_periodic["phase"] - phase) <= 1e-12
 
+    def test_one_moment_per_conjugate_pair(self):
+        g = pscc.gaussian_test_function()
+        asked = []
+
+        def moment(alpha):
+            asked.append(complex(alpha))
+            return g.moment(alpha)
+
+        counting = pscc.TestFunctionMoments(f0=g.f0, moment=moment)
+        terms = pscc.spectral_action(zt.FordString(), counting, 10.0, 2, pscc.S4Geometry())
+        non_real = [s for s in asked if s.imag != 0]
+        assert len(non_real) == 25 == len({(s.real, abs(s.imag)) for s in non_real})
+        # each merged row against tilde-f f Res evaluated at its Im > 0 member
+        bulk = [pscc._bulk_coefficient(pscc.S4Geometry(), M) for M in range(3)]
+        merged = [t for t in terms if t.log_periodic]
+        assert len(merged) == 25
+        for t in merged:
+            sigma = t.exponent
+            assert sigma.imag > 0
+            want = (pscc._heat_mellin(pscc.S4Geometry(), sigma, bulk) * g.moment(sigma)
+                    * zt._ford_pole(sigma).residue)
+            assert abs(t.coeff - want) <= 1e-14 * abs(want), sigma
+
     def test_gaussian_moments_against_quadrature(self):
         g = pscc.gaussian_test_function()
         for alpha in (4.0, 2.0, 1.0, 0.5, 3.3):
@@ -407,6 +448,30 @@ class TestSingularExpansion:
         bad = zt.AnalyticString(lambda z: 1.0 + 0j, [zt.PoleTerm(-2.0 + 0j, 1.0 + 0j)])
         with pytest.raises(pscc.CollisionError):
             pscc.singular_expansion_combine(bad, pscc.gamma_mellin(6))
+
+
+    def test_one_transform_value_per_conjugate_pair(self):
+        sigma = complex(0.5, 3.0)
+        string = zt.AnalyticString(
+            lambda z: 1.0 / ((z - sigma) * (z - sigma.conjugate())),
+            [zt.PoleTerm(sigma, complex(0, -1 / 6)), zt.PoleTerm(sigma.conjugate(), complex(0, 1 / 6))],
+        )
+        asked = []
+
+        def evaluator(z):
+            asked.append(z)
+            return gamma_complex(z)
+
+        mellin = pscc.MellinFunction(evaluator, pscc.gamma_mellin(4).poles)
+        terms = pscc.singular_expansion_combine(string, mellin)
+        assert len(asked) == 1
+        rows = {t.provenance: t.coeff for t in terms if t.kind == "pole"}
+        assert set(rows) == {sigma, sigma.conjugate()}
+        assert rows[sigma.conjugate()] == rows[sigma].conjugate()
+        for s, c in rows.items():
+            want = gamma_complex(s) * string.pole_table[0 if s == sigma else 1].residue
+            assert abs(c - want) <= 1e-14 * abs(want)
+        assert [t.kind for t in terms].count("bulk") == 5
 
 
 class TestScalingLaw:
