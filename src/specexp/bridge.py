@@ -22,8 +22,11 @@ configurations as a polynomial in the simplex variables
 
 The memos are ``lru_cache``s of immutable, deterministic values, so concurrent
 readers are safe; MC paths are seeded per chunk by counter, making results
-independent of how chunks are distributed over workers.  numpy is imported
-only inside the Monte Carlo chunk, so the exact routes never load it.
+independent of how chunks are distributed over workers.  Each chunk is drawn
+and reduced in fixed blocks of paths, so a worker's memory is bounded by the
+block, not the chunk, while the estimates equal those of whole-chunk arrays.
+numpy is imported only inside the Monte Carlo chunk, so the exact routes
+never load it.
 """
 
 from __future__ import annotations
@@ -464,39 +467,49 @@ def x1_even_moment(n: int) -> Fraction:
 # ----------------------------------------------------------------------
 
 _MC_CHUNK = 8192
+_MC_BLOCK = 256
 
 
 def _mc_chunk_sums(keys, n_grid: int, seed: int, chunk_index: int, todo: int):
     """Per key, (sum, sum of squares) of its functional over one counter-seeded chunk.
 
-    The bridge is built in place on the grid points v_1..v_{n_grid}, once for
-    all keys.  It is zero at v_0 = 0 and v_{n_grid} = 1, so each trapezoid sum
-    is dt times the sum over the interior points.
-    The powers alpha^k are running products in ascending letter order,
-    rebuilt per key, so one key's powers are held at a time.
+    The chunk's stream is drawn in consecutive blocks of ``_MC_BLOCK`` paths
+    into one reused buffer, and each block is finished while it is in cache:
+    its bridges are built in place on the grid points v_1..v_{n_grid}, once
+    for all keys, and every key's value per path is stored.  The bridge is
+    zero at v_0 = 0 and v_{n_grid} = 1, so each trapezoid sum is dt times the
+    sum over the interior points.  The powers alpha^k are running products in
+    ascending letter order, rebuilt per key in a second buffer.  Memory is two
+    (block, n_grid) buffers plus one value per key and path, whatever the
+    chunk size.  Consecutive draws continue one stream, the cumsum and the
+    trapezoid sums act row by row, and each key's chunk-wide sums see the
+    same values, so the result is bit-identical to building the chunk whole.
     """
     import numpy as np
 
     dt = 1.0 / n_grid
+    scale = np.sqrt(dt)
+    v = np.linspace(0.0, 1.0, n_grid + 1)[1:]
     rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
-    alpha = rng.standard_normal((todo, n_grid))
-    alpha *= np.sqrt(dt)
-    np.cumsum(alpha, axis=1, out=alpha)
-    alpha -= np.linspace(0.0, 1.0, n_grid + 1)[1:] * alpha[:, -1:]
-    out = []
-    for key in keys:
-        vals = np.ones(todo)
-        power, alpha_k = 1, alpha
-        for letter, mult in key:
-            for _ in range(power, letter):
-                if alpha_k is alpha:
-                    alpha_k = alpha * alpha
-                else:
-                    alpha_k *= alpha
-            power = letter
-            vals *= (alpha_k[:, :-1].sum(axis=1) * dt) ** mult
-        out.append((float(vals.sum()), float((vals**2).sum())))
-    return out
+    alpha_buf = np.empty((min(_MC_BLOCK, todo), n_grid))
+    power_buf = np.empty_like(alpha_buf)
+    vals = np.ones((len(keys), todo))
+    for start in range(0, todo, _MC_BLOCK):
+        stop = min(start + _MC_BLOCK, todo)
+        alpha = alpha_buf[: stop - start]
+        alpha_k = power_buf[: stop - start]
+        rng.standard_normal(out=alpha)
+        alpha *= scale
+        np.cumsum(alpha, axis=1, out=alpha)
+        alpha -= np.multiply(v, alpha[:, -1:], out=alpha_k)
+        for key, row in zip(keys, vals):
+            power, alpha_p = 1, alpha
+            for letter, mult in key:
+                for _ in range(power, letter):
+                    alpha_p = np.multiply(alpha_p, alpha, out=alpha_k)
+                power = letter
+                row[start:stop] *= (alpha_p[:, :-1].sum(axis=1) * dt) ** mult
+    return [(float(row.sum()), float((row**2).sum())) for row in vals]
 
 
 def mc_estimate_many(
@@ -510,7 +523,9 @@ def mc_estimate_many(
 
     Every spec is evaluated on the same paths: each counter-seeded chunk is
     simulated once, so the estimates equal those of ``mc_estimate`` called
-    per spec with the same arguments.
+    per spec with the same arguments.  A chunk is drawn and reduced block by
+    block (``_mc_chunk_sums``), so each worker holds two (block, n_grid)
+    buffers and one value per spec and path, not the chunk's paths.
     """
     if n_paths < 1000:
         raise ValueError("n_paths must be >= 1000")

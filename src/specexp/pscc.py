@@ -227,6 +227,10 @@ def _once_per_conjugate_pair(fn: Callable[[complex], complex]) -> Callable[[comp
     return value
 
 
+def _shown(sigma: complex):
+    return sigma.real if sigma.imag == 0 else sigma
+
+
 def _singular_rows(string: FractalString, transform, transform_poles, strip):
     """Singular expansion of the Mellin transform zeta_string(s) F(s).
 
@@ -235,22 +239,32 @@ def _singular_rows(string: FractalString, transform, transform_poles, strip):
     marks a pole of F past the truncation: it gives no value but is checked
     like the others.  Each string pole sigma in the strip gives a pole row
     (sigma, F(sigma) Res_sigma), with F evaluated once per conjugate pair.
-    A string pole on a pole of F raises CollisionError naming that pole.
+    An exact zero token from F is the row as it stands.  A string pole on a
+    pole of F raises CollisionError naming that pole; so does a pole of F
+    missing from ``transform_poles``, met as F's ZeroDivisionError.
     """
-    poles = string_poles(string, strip)
-    for p in poles:
-        sigma = complex(p.sigma)
+    poles = [(complex(p.sigma), p.residue) for p in string_poles(string, strip)]
+    for sigma, _ in poles:
         for alpha, _, name in transform_poles:
             if abs(sigma - alpha) < _COLLISION_TOL:
-                shown = sigma.real if sigma.imag == 0 else sigma
-                raise CollisionError(f"string pole at {shown} collides with {name}")
+                raise CollisionError(f"string pole at {_shown(sigma)} collides with {name}")
     bulk = [
         _coeff_mul(_string_zeta_value(string, alpha), c)
         for alpha, c, _ in transform_poles
         if c is not None
     ]
     value = _once_per_conjugate_pair(transform)
-    return bulk, [(complex(p.sigma), value(complex(p.sigma)) * p.residue) for p in poles]
+    rows = []
+    for sigma, residue in poles:
+        try:
+            c = value(sigma)
+        except ZeroDivisionError as exc:
+            raise CollisionError(
+                f"string pole at {_shown(sigma)} lies on a pole of the transform "
+                f"outside its pole table") from exc
+        exact_zero = isinstance(c, ExactToken) and not c.rat
+        rows.append((sigma, c if exact_zero else c * residue))
+    return bulk, rows
 
 
 def heat_mellin_model(coeffs: Sequence[tuple[int, float]], sigma: complex) -> complex:
@@ -278,6 +292,14 @@ def _heat_mellin(geometry: Geometry, sigma: complex, bulk: Sequence) -> complex:
     return heat_mellin_model([(2 * M - 4, c) for M, c in enumerate(bulk)], sigma)
 
 
+def _dirac_zeta_s4_exact_at(sigma: complex) -> ExactToken | None:
+    """Exact zeta_D(sigma) where sigma is an integer <= 1, else None."""
+    k = round(sigma.real)
+    if abs(sigma.imag) < 1e-12 and abs(sigma.real - k) < 1e-12 and k <= 1:
+        return zeta_mod.dirac_zeta_s4_exact(k)
+    return None
+
+
 def _round_scaling(string, max_m, geometry, pole_strip, moments=None):
     """Bulk values zeta_string(4-2M) c_2M for M = 0..max_m and the pole rows
     of the round-scaled expansion, from ``_singular_rows``.
@@ -285,7 +307,9 @@ def _round_scaling(string, max_m, geometry, pole_strip, moments=None):
     F is the heat trace's transform tilde-f, times f_sigma when ``moments``
     is given.  The bulk exponents 4-2M are the poles of tilde-f; on S^4 it
     has one at every 4-2M, so those past max_m are checked against the strip
-    too.  The RW model transform has none past max_m.
+    too.  The RW model transform has none past max_m.  Where zeta_D is
+    exactly 0 (sigma = -1, -3, ...), the S^4 transform is its exact 0 token
+    and f_sigma is not asked for.
     """
     if max_m < 0:
         raise ValueError("max_m must be non-negative")
@@ -299,8 +323,12 @@ def _round_scaling(string, max_m, geometry, pole_strip, moments=None):
     ]
 
     def transform(s):
-        weight = _heat_mellin(geometry, s, bulk)
-        return weight if moments is None else weight * moments.moment(s)
+        if moments is None:
+            return _heat_mellin(geometry, s, bulk)
+        zd = _dirac_zeta_s4_exact_at(s) if s4 else None
+        if zd is not None and not zd.rat:
+            return zd
+        return _heat_mellin(geometry, s, bulk) * moments.moment(s)
 
     return _singular_rows(string, transform, transform_poles, strip)
 
@@ -452,10 +480,8 @@ def s4_packing_action_terms(
     zeta_d = _once_per_conjugate_pair(zeta_mod.dirac_zeta_s4)
     for p in string_poles(string, strip):
         sigma = complex(p.sigma)
-        if abs(sigma.imag) < 1e-12 and abs(sigma.real - round(sigma.real)) < 1e-12 and round(
-            sigma.real
-        ) <= 1:
-            zd = zeta_mod.dirac_zeta_s4_exact(int(round(sigma.real)))
+        zd = _dirac_zeta_s4_exact_at(sigma)
+        if zd is not None:
             if not zd.rat:
                 # zeta_D vanishes here (sigma = -1, -3, ...): the row is an exact 0
                 # whatever f_sigma is, so the moment is not asked for

@@ -163,6 +163,17 @@ def _bridge_forms(u: Sequence[float]) -> tuple[list[float], list[float]]:
     return w, u
 
 
+@lru_cache(maxsize=1)
+def _unit_gauss_legendre():
+    """GAUSS_NODES Gauss-Legendre nodes and weights mapped to [0, 1], read-only."""
+    import numpy as np
+
+    x, wx = np.polynomial.legendre.leggauss(GAUSS_NODES)
+    z, wz = 0.5 * (x + 1.0), 0.5 * wx
+    z.flags.writeable = wz.flags.writeable = False
+    return z, wz
+
+
 def _simplex_gauss(u: Sequence[float]) -> float:
     """Tensor Gauss-Legendre rule, GAUSS_NODES per axis, of exp(-quadratic) over
     the ordered simplex.
@@ -173,8 +184,7 @@ def _simplex_gauss(u: Sequence[float]) -> float:
     """
     import numpy as np
 
-    x, wx = np.polynomial.legendre.leggauss(GAUSS_NODES)
-    z, wz = 0.5 * (x + 1.0), 0.5 * wx
+    z, wz = _unit_gauss_legendre()
     w, u = _bridge_forms(u)
     v = weight = np.ones(1)
     lin_w = lin_u = np.zeros(1)

@@ -548,7 +548,8 @@ def euler_totient_sieve(n_max: int) -> np.ndarray:
     Only the primes p <= sqrt(n_max) are sieved by slices; meanwhile every
     power of p is divided out of ``rem``, a copy of the indices.  What is
     left, ``rem[n] > 1``, is the one prime factor P of n above sqrt(n_max),
-    and one vectorised step applies its factor (1 - 1/P).
+    and one vectorised step applies its factor (1 - 1/P) in place, reusing
+    ``rem`` for phi // P.
     """
     import numpy as np
 
@@ -567,8 +568,10 @@ def euler_totient_sieve(n_max: int) -> np.ndarray:
             while q <= n_max:
                 rem[q::q] //= p
                 q *= p
-    big = np.flatnonzero(rem > 1)
-    phi[big] -= phi[big] // rem[big]
+    big = rem > 1
+    rem[0] = 1
+    np.floor_divide(phi, rem, out=rem)
+    np.subtract(phi, rem, out=phi, where=big)
     return phi
 
 

@@ -279,3 +279,59 @@ class TestMonteCarlo:
     def test_odd_functional_near_zero(self):
         est, se = bridge.mc_estimate({1: 1}, 50_000, 128, seed=4)
         assert abs(est) <= 4 * se
+
+
+def _whole_chunk_sums(keys, n_grid, seed, chunk_index, todo):
+    """The chunk kernel with the whole chunk as one (todo, n_grid) array."""
+    dt = 1.0 / n_grid
+    rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
+    alpha = rng.standard_normal((todo, n_grid))
+    alpha *= np.sqrt(dt)
+    np.cumsum(alpha, axis=1, out=alpha)
+    alpha -= np.linspace(0.0, 1.0, n_grid + 1)[1:] * alpha[:, -1:]
+    out = []
+    for key in keys:
+        vals = np.ones(todo)
+        power, alpha_k = 1, alpha
+        for letter, mult in key:
+            for _ in range(power, letter):
+                alpha_k = alpha * alpha if alpha_k is alpha else alpha_k * alpha
+            power = letter
+            vals *= (alpha_k[:, :-1].sum(axis=1) * dt) ** mult
+        out.append((float(vals.sum()), float((vals**2).sum())))
+    return out
+
+
+class TestBlockedChunkKernel:
+    SPECS = [{1: 2}, {1: 2, 3: 1}, {2: 1, 4: 1}, {1: 1, 2: 1, 3: 1}, {4: 2}]
+
+    @pytest.mark.parametrize("n_grid", [64, 100, 256])
+    @pytest.mark.parametrize(
+        "todo", [2 * bridge._MC_BLOCK, 2 * bridge._MC_BLOCK + 77, bridge._MC_BLOCK - 56]
+    )
+    def test_chunk_bit_identical_to_whole_chunk(self, todo, n_grid):
+        keys = [bridge._normalize_spec(s) for s in self.SPECS]
+        assert bridge._mc_chunk_sums(keys, n_grid, 5, 3, todo) == _whole_chunk_sums(
+            keys, n_grid, 5, 3, todo
+        )
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_estimates_bit_identical_to_whole_chunks(self, monkeypatch, n_workers):
+        n_paths = bridge._MC_CHUNK + 3 * bridge._MC_BLOCK + 40
+        blocked = bridge.mc_estimate_many(self.SPECS, n_paths, 100, 9, n_workers)
+        monkeypatch.setattr(bridge, "_mc_chunk_sums", _whole_chunk_sums)
+        assert blocked == bridge.mc_estimate_many(self.SPECS, n_paths, 100, 9, n_workers)
+
+    def test_chunk_memory_is_bounded_by_the_block(self):
+        import tracemalloc
+
+        keys = [bridge._normalize_spec(s) for s in ({1: 2, 3: 1}, {2: 1, 4: 1})]
+        bridge._mc_chunk_sums(keys, 256, 0, 0, 1000)  # load numpy and its generators
+        tracemalloc.start()
+        try:
+            bridge._mc_chunk_sums(keys, 256, 0, 0, bridge._MC_CHUNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole 8192 x 256 chunk peaks at about 33 MB
+        assert peak < 4e6, peak

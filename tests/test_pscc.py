@@ -304,6 +304,30 @@ class TestSpectralAction:
                     * zt._ford_pole(sigma).residue)
             assert abs(t.coeff - want) <= 1e-14 * abs(want), sigma
 
+    def test_s4_zero_row_matches_packing_template(self):
+        # zeta_D(-1) = 0, so the row at the Ford pole -1 is an exact 0 and the
+        # Gaussian moment, undefined there, is not asked for
+        strip = ((-1.5, 4.5), (-30, 46))
+        g = pscc.gaussian_test_function()
+        asked = []
+
+        def moment(alpha):
+            asked.append(complex(alpha))
+            return g.moment(alpha)
+
+        counting = pscc.TestFunctionMoments(f0=g.f0, moment=moment)
+        terms = pscc.spectral_action(zt.FordString(), counting, 10.0, 2, pscc.S4Geometry(), strip)
+        row = [t for t in terms if t.exponent == -1]
+        template = pscc.s4_packing_action_terms(zt.FordString(), g, strip)
+        assert row == [t for t in template if t.exponent == -1]
+        assert row[0].coeff == zt.ExactToken(Fraction(0))
+        assert -1 not in asked
+
+    def test_rw_strip_reaching_minus_one_needs_the_moment(self):
+        with pytest.raises(ValueError, match="negative moments"):
+            pscc.spectral_action(zt.FordString(), pscc.gaussian_test_function(), 10.0, 2,
+                                 RW_MATTER, ((-1.5, 4.5), (-30, 46)))
+
     def test_gaussian_moments_against_quadrature(self):
         g = pscc.gaussian_test_function()
         for alpha in (4.0, 2.0, 1.0, 0.5, 3.3):
@@ -449,6 +473,13 @@ class TestSingularExpansion:
         with pytest.raises(pscc.CollisionError):
             pscc.singular_expansion_combine(bad, pscc.gamma_mellin(6))
 
+
+    def test_pole_outside_the_transform_pole_table(self):
+        # gamma_mellin(0) lists only the pole at 0; Gamma also has one at -12,
+        # where the Ford string has a pole
+        with pytest.raises(pscc.CollisionError, match="outside its pole table") as info:
+            pscc.singular_expansion_combine(zt.FordString(), pscc.gamma_mellin(0))
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
 
     def test_one_transform_value_per_conjugate_pair(self):
         sigma = complex(0.5, 3.0)
