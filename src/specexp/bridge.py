@@ -88,19 +88,6 @@ class VPoly(SparsePoly):
     def max_var(self) -> int:
         return max((len(m) for m in self.terms), default=0)
 
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
-    def eval(self, values: Sequence[float]) -> float:
-        total = 0.0
-        for mono, c in self.terms.items():
-            v = float(c)
-            for i, e in enumerate(mono):
-                if e:
-                    v *= values[i] ** e
-            total += v
-        return total
-
 
 # ----------------------------------------------------------------------
 # simplex integrals

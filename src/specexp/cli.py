@@ -7,10 +7,14 @@ and ``verify`` (numeric identity suites with machine-readable reports).
 
 Exit codes: 0 success, 2 validation error (bad input, or a float evaluation
 outside the double range), 3 reference-table mismatch, 4 numeric verification
-failure.  A flat key=value config file can provide defaults for any long
-option; explicit flags win.  SPECEXP_THREADS caps the worker count used by the
-Monte Carlo internals.  numpy is imported inside the verify suites only, so
-``coeff``, ``eval`` and ``pscc`` never load it.
+failure.  argparse is the one option table: each option is declared once,
+with its default, type and choices.  A flat key=value config file gives
+defaults for those options: a key is an option's dest or its long flag, and
+its value is checked as the flag's would be (store-true options take
+true/false/1/0), against the running subcommand if it has the option, else
+against one that does; explicit flags win.  SPECEXP_THREADS caps the
+worker count used by the Monte Carlo internals.  numpy is imported inside the
+verify suites only, so ``coeff``, ``eval`` and ``pscc`` never load it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
 
@@ -48,34 +51,6 @@ def worker_count() -> int:
     return count
 
 
-@dataclass
-class RunConfig:
-    """Merged command configuration (config file overridden by flags)."""
-
-    command: str
-    order: int = 0
-    max_order: int = 4
-    form: str = "ab"
-    fmt: str = "text"
-    family: str = "inflation"
-    H: float = 1.0
-    t: float = 1.0
-    max_m: int = 2
-    string: str = "ford"
-    geometry: str = "s4"
-    lam: float = 10.0
-    testfn: str = "gaussian"
-    seed: int = 0
-    tolerance: float | None = None
-    check_golden: bool = False
-    reconcile: bool = False
-    mode: str = "action"
-    suite: str = "all"
-    fast: bool = False
-    mc_paths: int = 200_000
-    mc_grid: int = 1024
-
-
 def _read_config_file(path: str) -> dict:
     values = {}
     with open(path) as f:
@@ -98,41 +73,50 @@ def _parse_bool(raw: str) -> bool:
     raise ValidationError(f"boolean config value must be true/false/1/0, got {raw!r}")
 
 
-def _parse_mode(raw: str) -> str:
-    if raw not in ("action", "heat"):
-        raise ValidationError(f"mode must be 'action' or 'heat', got {raw!r}")
-    return raw
+def _config_value(key: str, action: argparse.Action, raw: str):
+    """A config-file value, converted and checked by its option's type and choices."""
+    if action.nargs == 0:  # store_true
+        return _parse_bool(raw)
+    try:
+        value = (action.type or str)(raw)
+    except ValueError:
+        raise ValidationError(f"config key {key!r}: invalid value {raw!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValidationError(
+            f"config key {key!r} must be one of {list(action.choices)}, got {raw!r}"
+        )
+    return value
 
 
-# config-file value parsers by RunConfig field annotation, plus per-field ones
-_PARSERS = {"int": int, "float": float, "float | None": float, "str": str, "bool": _parse_bool}
-_FIELD_PARSERS = {"mode": _parse_mode}
-_CONFIG_ALIASES = {
-    "maxM": "max_m",
-    "format": "fmt",
-    "lambda": "lam",
-    "paths": "mc_paths",
-    "grid": "mc_grid",
-}
+def _apply_config(commands: dict, command: str, values: dict) -> None:
+    """Make the config file's values defaults of the running subcommand's options.
 
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_vals = _read_config_file(args.config) if args.config else {}
-    cfg = RunConfig(command=args.command)
-    options = {f.name: f.type for f in fields(RunConfig) if f.name != "command"}
-    for key, raw in file_vals.items():
-        attr = _CONFIG_ALIASES.get(key, key)
-        if attr not in options:
+    A key names an option by its dest or its long flag.  Its value must be
+    valid for the running subcommand if that has the option, and otherwise
+    for some subcommand that has it; there it is then ignored.
+    """
+    for key, raw in values.items():
+        owners = {
+            name: action
+            for name, sub in commands.items()
+            for action in sub._actions
+            if action.dest != "help" and (key == action.dest or "--" + key in action.option_strings)
+        }
+        if not owners:
             raise ValidationError(f"unknown config key {key!r}")
-        setattr(cfg, attr, _FIELD_PARSERS.get(attr, _PARSERS[options[attr]])(raw))
-    for attr in options:
-        val = getattr(args, attr, None)
-        if val is not None:
-            setattr(cfg, attr, val)
-    for flag, value in (("H", cfg.H), ("t", cfg.t), ("lambda", cfg.lam)):
-        if not math.isfinite(value):
-            raise ValidationError(f"--{flag} must be finite, got {value!r}")
-    return cfg
+        if command in owners:
+            action = owners[command]
+            commands[command].set_defaults(**{action.dest: _config_value(key, action, raw)})
+            continue
+        errors = []
+        for action in owners.values():
+            try:
+                _config_value(key, action, raw)
+                break
+            except ValidationError as exc:
+                errors.append(exc)
+        else:
+            raise errors[0]
 
 
 # ----------------------------------------------------------------------
@@ -151,43 +135,39 @@ def _reference_tables() -> dict:
     return tables
 
 
-def cmd_coeff(cfg: RunConfig) -> int:
-    if cfg.order < 0:
+def cmd_coeff(args: argparse.Namespace) -> int:
+    if args.order < 0:
         raise ValidationError("order must be non-negative")
-    if cfg.order > cfg.max_order:
+    if args.order > args.max_order:
         raise ValidationError(
-            f"order {cfg.order} above the complexity guard ({cfg.max_order}); "
+            f"order {args.order} above the complexity guard ({args.max_order}); "
             "raise --max-order explicitly if intended"
         )
-    if cfg.form not in ("ab", "a"):
-        raise ValidationError("form must be 'ab' or 'a'")
-    if cfg.fmt not in ("text", "latex", "json"):
-        raise ValidationError("format must be text, latex or json")
-    poly = expansion.a2M(cfg.order)
-    if cfg.check_golden:
+    poly = expansion.a2M(args.order)
+    if args.check_golden:
         tables = _reference_tables()
-        entry = tables.get(str(2 * cfg.order))
+        entry = tables.get(str(2 * args.order))
         if entry is None:
-            raise ValidationError(f"no bundled reference for order {2 * cfg.order}")
+            raise ValidationError(f"no bundled reference for order {2 * args.order}")
         ok_ab = symcore.sympoly_from_json(entry["ab"]) == poly
         ok_a = symcore.aform_from_json(entry["a"]) == symcore.to_a_form(poly)
         if not (ok_ab and ok_a):
-            print(f"reference mismatch at order {2 * cfg.order}", file=sys.stderr)
+            print(f"reference mismatch at order {2 * args.order}", file=sys.stderr)
             return EXIT_GOLDEN
-        print(f"order {2 * cfg.order}: matches bundled reference (ab and a forms)")
+        print(f"order {2 * args.order}: matches bundled reference (ab and a forms)")
         return EXIT_OK
-    if cfg.form == "ab":
-        if cfg.fmt == "text":
+    if args.form == "ab":
+        if args.fmt == "text":
             print(symcore.sympoly_to_text(poly))
-        elif cfg.fmt == "latex":
+        elif args.fmt == "latex":
             print(symcore.sympoly_to_latex(poly))
         else:
             print(json.dumps(symcore.sympoly_to_json(poly)))
     else:
         aform = symcore.to_a_form(poly)
-        if cfg.fmt == "text":
+        if args.fmt == "text":
             print(symcore.aform_to_text(aform))
-        elif cfg.fmt == "latex":
+        elif args.fmt == "latex":
             print(symcore.aform_to_latex(aform))
         else:
             print(json.dumps(symcore.aform_to_json(aform)))
@@ -198,24 +178,22 @@ def cmd_coeff(cfg: RunConfig) -> int:
 # eval
 # ----------------------------------------------------------------------
 
-def cmd_eval(cfg: RunConfig) -> int:
-    if cfg.family not in expansion.FAMILIES or cfg.family == "custom":
-        raise ValidationError(f"family must be one of {expansion.FAMILIES[:-1]}")
-    factor = expansion.scale_factor(cfg.family, H=cfg.H)
-    if cfg.max_m > cfg.max_order:
+def cmd_eval(args: argparse.Namespace) -> int:
+    factor = expansion.scale_factor(args.family, H=args.H)
+    if args.max_m > args.max_order:
         raise ValidationError("maxM above the complexity guard; raise --max-order")
     try:
-        rows = expansion.heat_trace_series(cfg.max_m, factor, cfg.t)
+        rows = expansion.heat_trace_series(args.max_m, factor, args.t)
     except ZeroDivisionError as exc:
         raise ValidationError(f"evaluation singularity: {exc}") from exc
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         print("exponent,re,im,kind")
         for p, v in rows:
             print(f"{p},{v!r},0.0,bulk")
-    elif cfg.fmt == "json":
+    elif args.fmt == "json":
         print(json.dumps([{"exponent": p, "value": v} for p, v in rows]))
     else:
-        print(f"family={cfg.family} H={cfg.H} t={cfg.t}")
+        print(f"family={args.family} H={args.H} t={args.t}")
         print(f"{'tau power':>10}  value")
         for p, v in rows:
             print(f"{p:>10}  {v:.12g}")
@@ -237,36 +215,32 @@ def _resolve_string(name: str):
     raise ValidationError(f"unknown string {name!r} (use 'ford' or a .json path)")
 
 
-def cmd_pscc(cfg: RunConfig) -> int:
-    string = _resolve_string(cfg.string)
-    if cfg.reconcile:
+def cmd_pscc(args: argparse.Namespace) -> int:
+    string = _resolve_string(args.string)
+    if args.reconcile:
         print(pscc.ford_constants_report_text())
         rep = pscc.ford_constants_reconciliation()
         if not (rep["Lambda^2"]["match"] and rep["Lambda^4"]["match"]):
             return EXIT_VERIFY
         return EXIT_OK
-    if cfg.geometry == "s4":
+    if args.geometry == "s4":
         geometry = pscc.S4Geometry()
-    elif cfg.geometry == "rw":
-        geometry = pscc.RWGeometry(expansion.scale_factor(cfg.family, H=cfg.H), cfg.t)
     else:
-        raise ValidationError("geometry must be 's4' or 'rw'")
-    if cfg.lam <= 0:
+        geometry = pscc.RWGeometry(expansion.scale_factor(args.family, H=args.H), args.t)
+    if args.lam <= 0:
         raise ValidationError("lambda must be positive")
     try:
-        if cfg.mode == "heat":
-            terms = pscc.round_heat_expansion(string, cfg.max_m, geometry)
+        if args.mode == "heat":
+            terms = pscc.round_heat_expansion(string, args.max_m, geometry)
         else:
-            if cfg.testfn != "gaussian":
-                raise ValidationError("only the gaussian test function is built in")
             terms = pscc.spectral_action(
-                string, pscc.gaussian_test_function(), cfg.lam, cfg.max_m, geometry
+                string, pscc.gaussian_test_function(), args.lam, args.max_m, geometry
             )
     except pscc.CollisionError as exc:
         raise ValidationError(str(exc)) from exc
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps(pscc.expansion_to_json(terms)))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         print("exponent,re,im,kind")
         for t in terms:
             e = complex(t.exponent)
@@ -283,11 +257,11 @@ def cmd_pscc(cfg: RunConfig) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _suite_bridge(cfg: RunConfig) -> list[dict]:
+def _suite_bridge(args: argparse.Namespace) -> list[dict]:
     import numpy as np
 
     checks = []
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     # exact route equivalence on a small random word set
     words = []
     for _ in range(8):
@@ -305,10 +279,10 @@ def _suite_bridge(cfg: RunConfig) -> list[dict]:
     checks.append(
         {"name": "x1^2-exact", "pass": exact == Fraction(1, 12), "detail": str(exact)}
     )
-    n_paths, n_grid = cfg.mc_paths, cfg.mc_grid
-    if cfg.fast:
+    n_paths, n_grid = args.mc_paths, args.mc_grid
+    if args.fast:
         n_paths, n_grid = min(n_paths, 20_000), min(n_grid, 128)
-    est, se = bridge.mc_estimate({1: 2}, n_paths, n_grid, cfg.seed, worker_count())
+    est, se = bridge.mc_estimate({1: 2}, n_paths, n_grid, args.seed, worker_count())
     dev = abs(est - 1.0 / 12.0) / se
     checks.append(
         {
@@ -322,11 +296,11 @@ def _suite_bridge(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def _suite_dawson(cfg: RunConfig) -> list[dict]:
+def _suite_dawson(args: argparse.Namespace) -> list[dict]:
     import numpy as np
 
     checks = []
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     grid = np.linspace(-10, 10, 81)
     h = 1e-6
     resid = max(
@@ -334,36 +308,32 @@ def _suite_dawson(cfg: RunConfig) -> list[dict]:
         for x in grid
     )
     checks.append({"name": "dawson-ode", "pass": resid < 1e-8, "detail": f"max residual {resid:.2g}"})
-    draws = 2 if cfg.fast else 5
+    draws = 2 if args.fast else 5
     for n in (1, 2, 3):
         ok = True
         worst = 0.0
         for _ in range(draws):
             u = rng.uniform(0.3, 2.0, n)
-            lhs, rhs, good = specfun.verify_dawson_simplex(
-                n, u, specfun.QuadratureSpec(tolerance=1e-9)
-            )
+            lhs, rhs, good = specfun.verify_dawson_simplex(n, u, tol=1e-9)
             worst = max(worst, abs(lhs - rhs))
             ok = ok and good
         checks.append(
             {"name": f"dawson-simplex-n{n}", "pass": ok, "detail": f"worst |diff| {worst:.2g}"}
         )
     u4 = rng.uniform(0.3, 2.0, 4)
-    lhs, rhs, ok4 = specfun.verify_dawson_simplex(
-        4, u4, specfun.QuadratureSpec(tolerance=1e-4 if cfg.fast else 1e-5)
-    )
+    lhs, rhs, ok4 = specfun.verify_dawson_simplex(4, u4, tol=1e-4 if args.fast else 1e-5)
     checks.append(
         {"name": "dawson-simplex-n4", "pass": ok4, "detail": f"|diff|={abs(lhs-rhs):.2g}"}
     )
     return checks
 
 
-def _suite_mellin(cfg: RunConfig) -> list[dict]:
+def _suite_mellin(args: argparse.Namespace) -> list[dict]:
     import numpy as np
 
     checks = []
-    rng = np.random.default_rng(cfg.seed)
-    draws = 3 if cfg.fast else 10
+    rng = np.random.default_rng(args.seed)
+    draws = 3 if args.fast else 10
     ok = True
     worst = 0.0
     for _ in range(draws):
@@ -405,14 +375,14 @@ def _count_set_partitions(n: int) -> int:
     return extend(1, 0)
 
 
-def _suite_bell(cfg: RunConfig) -> list[dict]:
+def _suite_bell(args: argparse.Namespace) -> list[dict]:
     import numpy as np
 
     checks = []
-    upto = 7 if cfg.fast else 9
+    upto = 7 if args.fast else 9
     ok = all(bell.bell_number(n) == _count_set_partitions(n) for n in range(0, upto))
     checks.append({"name": "bell-row-sum", "pass": ok, "detail": f"n<= {upto - 1}"})
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     ok = True
     for _ in range(10):
         n = int(rng.integers(1, 8))
@@ -438,14 +408,12 @@ _SUITES = {
 }
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    names = list(_SUITES) if cfg.suite == "all" else [cfg.suite]
-    if any(n not in _SUITES for n in names):
-        raise ValidationError(f"suite must be one of {list(_SUITES) + ['all']}")
-    report = {"seed": cfg.seed, "suites": {}}
+def cmd_verify(args: argparse.Namespace) -> int:
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    report = {"seed": args.seed, "suites": {}}
     all_ok = True
     for name in names:
-        checks = _SUITES[name](cfg)
+        checks = _SUITES[name](args)
         for c in checks:
             # suites may report numpy booleans, which json cannot encode
             c["pass"] = bool(c["pass"])
@@ -453,7 +421,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         all_ok = all_ok and ok
         report["suites"][name] = {"pass": ok, "checks": checks}
     report["pass"] = all_ok
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps(report, indent=1))
     else:
         for name, data in report["suites"].items():
@@ -468,54 +436,59 @@ def cmd_verify(cfg: RunConfig) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_format(p: argparse.ArgumentParser, *choices: str) -> None:
+    p.add_argument("--format", dest="fmt", choices=("text", *choices), default="text")
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The specexp parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="specexp",
         description="exact spectral-action expansions for Robertson-Walker and packed-sphere geometries",
     )
-    parser.add_argument("--config", help="flat key=value defaults file")
+    parser.add_argument("--config", help="flat key=value defaults file; a key is an option's "
+                                         "dest or long flag, its value is checked as the flag's")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeff", help="render a heat coefficient")
-    p.add_argument("--order", type=int, default=None, help="M in a_{2M}")
-    p.add_argument("--form", choices=("ab", "a"), default=None)
-    p.add_argument("--format", dest="fmt", choices=("text", "latex", "json"), default=None)
-    p.add_argument("--check-golden", dest="check_golden", action="store_true", default=None)
-    p.add_argument("--max-order", dest="max_order", type=int, default=None)
+    guard = argparse.ArgumentParser(add_help=False)
+    guard.add_argument("--max-order", dest="max_order", type=int, default=4,
+                       help="complexity guard on M")
+    scale = argparse.ArgumentParser(add_help=False)
+    scale.add_argument("--family", default="inflation")
+    scale.add_argument("--H", type=float, default=1.0)
+    scale.add_argument("--t", type=float, default=1.0)
+    scale.add_argument("--maxM", dest="max_m", type=int, default=2)
 
-    p = sub.add_parser("eval", help="evaluate cosmology coefficient tables")
-    p.add_argument("--family", default=None)
-    p.add_argument("--H", type=float, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--maxM", dest="max_m", type=int, default=None)
-    p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"), default=None)
-    p.add_argument("--max-order", dest="max_order", type=int, default=None)
+    p = sub.add_parser("coeff", parents=[guard], help="render a heat coefficient")
+    p.add_argument("--order", type=int, default=0, help="M in a_{2M}")
+    p.add_argument("--form", choices=("ab", "a"), default="ab")
+    _add_format(p, "latex", "json")
+    p.add_argument("--check-golden", dest="check_golden", action="store_true")
 
-    p = sub.add_parser("pscc", help="packed-sphere expansions")
-    p.add_argument("--string", default=None, help="'ford' or a descriptor .json path")
-    p.add_argument("--geometry", choices=("s4", "rw"), default=None)
-    p.add_argument("--family", default=None)
-    p.add_argument("--H", type=float, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p = sub.add_parser("eval", parents=[scale, guard], help="evaluate cosmology coefficient tables")
+    _add_format(p, "csv", "json")
+
+    p = sub.add_parser("pscc", parents=[scale], help="packed-sphere expansions")
+    p.add_argument("--string", default="ford", help="'ford' or a descriptor .json path")
+    p.add_argument("--geometry", choices=("s4", "rw"), default="s4")
+    p.add_argument("--lambda", dest="lam", type=float, default=10.0,
                    help="cutoff Lambda > 0; only validated: the action rows are the "
                         "Lambda-free coefficients of Lambda^exponent")
-    p.add_argument("--maxM", dest="max_m", type=int, default=None)
-    p.add_argument("--testfn", choices=("gaussian",), default=None)
-    p.add_argument("--mode", choices=("action", "heat"), default=None)
-    p.add_argument("--format", dest="fmt", choices=("text", "csv", "json"), default=None)
-    p.add_argument("--reconcile-paper", dest="reconcile", action="store_true", default=None)
+    p.add_argument("--testfn", choices=("gaussian",), default="gaussian")
+    p.add_argument("--mode", choices=("action", "heat"), default="action")
+    _add_format(p, "csv", "json")
+    p.add_argument("--reconcile-paper", dest="reconcile", action="store_true")
 
     p = sub.add_parser("verify", help="run numeric verification suites")
-    p.add_argument("--suite", default=None, choices=tuple(_SUITES) + ("all",))
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--fast", action="store_true", default=None)
-    p.add_argument("--paths", dest="mc_paths", type=int, default=None,
+    p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--fast", action="store_true")
+    p.add_argument("--paths", dest="mc_paths", type=int, default=200_000,
                    help="Monte Carlo path count for the bridge suite")
-    p.add_argument("--grid", dest="mc_grid", type=int, default=None,
+    p.add_argument("--grid", dest="mc_grid", type=int, default=1024,
                    help="Monte Carlo grid size for the bridge suite")
-    p.add_argument("--format", dest="fmt", choices=("text", "json"), default=None)
-    return parser
+    _add_format(p, "json")
+    return parser, sub.choices
 
 
 _DISPATCH = {
@@ -527,11 +500,18 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        return _DISPATCH[cfg.command](cfg)
+        if args.config:
+            # the file's values become defaults, so explicit flags still win
+            _apply_config(commands, args.command, _read_config_file(args.config))
+            args = parser.parse_args(argv)
+        for flag, dest in (("H", "H"), ("t", "t"), ("lambda", "lam")):
+            value = vars(args).get(dest, 0.0)
+            if not math.isfinite(value):
+                raise ValidationError(f"--{flag} must be finite, got {value!r}")
+        return _DISPATCH[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,23 +1,23 @@
 """Assembly of the Laurent coefficients C^(r,m)_M and the heat coefficients.
 
-Two independent routes build the same series.  ``crm_bell``, the production
-route, organizes it through partial Bell polynomials over the u- and
-v-sequences
+Two independent routes build the same series.  The Bell route organizes it
+through partial Bell polynomials over the u- and v-sequences
 
     u_n = B^(n)(t) 2^(n/2) x_n(alpha),     v_n = A^(n+1)(t) 2^(n/2) x_n(alpha),
 
 with u_0 = B and v_0 = A'; its Bell pieces are memoised per index pair and
 shared by every cell and order, and have int coefficients.  ``crm_direct``
-enumerates the flat composition sum and serves as the oracle the tests hold
-``crm_bell`` to.  Both routes leave out the letter weights 2^(n/2).
-``integrate_bridge`` replaces every formal letter multiset by its exact
-bridge moment times the multiset's weight 2^(degree/2), which is rational
-because only multisets of even letter degree have a nonzero moment
-(asserted).  ``integrated_cell`` does the same for the Bell blocks of a cell
-without expanding them into terms: the sum runs in ints over one
-denominator, and both integrations share that core.  ``a2M`` combines three
-(r, m) cells, each an ``integrated_cell``, into the coefficient of
-tau^(2M-4) in the heat trace, pointwise in t.
+enumerates the flat composition sum instead.  Both leave out the letter
+weights 2^(n/2).  ``integrate_bridge`` replaces every formal letter multiset
+by its exact bridge moment times the multiset's weight 2^(degree/2), which
+is rational because only multisets of even letter degree have a nonzero
+moment (asserted).  ``integrated_cell`` integrates the Bell blocks of a cell
+(``_cell_blocks``) without expanding them into terms: the sum runs in ints
+over one denominator, and both integrations share that core.  ``a2M``
+combines three (r, m) cells, each an ``integrated_cell``, into the
+coefficient of tau^(2M-4) in the heat trace, pointwise in t.  ``crm_bell``
+(the same blocks expanded into terms) and ``crm_direct`` never feed ``a2M``:
+through ``integrate_bridge`` they are the oracles the tests hold it to.
 
 Assembly is pure and exact: the sums are over ints or Fractions, and the term
 lists come in canonical key order, so output is bit-identical however the

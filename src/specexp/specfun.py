@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Sequence
@@ -26,7 +25,6 @@ from typing import Sequence
 import mpmath as mp
 
 __all__ = [
-    "QuadratureSpec",
     "dawson",
     "gamma_complex",
     "kummer_1f1",
@@ -44,18 +42,6 @@ __all__ = [
 SQRT2 = math.sqrt(2.0)
 SQRT_PI = math.sqrt(math.pi)
 GAUSS_NODES = 24  # Gauss-Legendre nodes per axis of the simplex rule
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the verification quadratures."""
-
-    tolerance: float = 1e-10
-    max_subdivisions: int = 60
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +183,7 @@ def _simplex_gauss(u: Sequence[float]) -> float:
 
 
 def verify_dawson_simplex(
-    n: int, u: Sequence[float], quad: QuadratureSpec | None = None
+    n: int, u: Sequence[float], tol: float = 1e-9
 ) -> tuple[float, float, bool]:
     """Compare quadrature and Dawson closed form of the simplex Gaussian integral.
 
@@ -212,15 +198,13 @@ def verify_dawson_simplex(
         raise ValueError("n must be 1..4")
     if len(u) != n:
         raise ValueError(f"u must have {n} components")
-    if quad is None:
-        quad = QuadratureSpec(tolerance=1e-9)
     for i in range(n):
         for j in range(i, n):
             if abs(sum(u[i : j + 1])) < 1e-9:
                 raise ValueError(f"degenerate u: interval sum u_{i+1}..u_{j+1} vanishes")
     lhs = _simplex_gauss(u)
     rhs = dawson_simplex_closed_form(n, u)
-    return lhs, rhs, abs(lhs - rhs) <= quad.tolerance
+    return lhs, rhs, abs(lhs - rhs) <= tol
 
 
 # ----------------------------------------------------------------------
@@ -235,34 +219,32 @@ def gaussian_multiplicity_closed_form(U: float, V: float) -> float:
 
 
 def verify_gaussian_multiplicity(
-    U: float, V: float, quad: QuadratureSpec | None = None
+    U: float, V: float, tol: float = 1e-10
 ) -> tuple[float, float, bool]:
     """Quadrature of int (x^2 - 1/4) exp(-x^2 U - x V) dx vs its closed form."""
     if U <= 0:
         raise ValueError("U must be positive")
     from scipy import integrate
 
-    if quad is None:
-        quad = QuadratureSpec(tolerance=1e-10)
     lhs, _ = integrate.quad(
         lambda x: (x * x - 0.25) * math.exp(-x * x * U - x * V),
         -math.inf,
         math.inf,
-        epsabs=quad.tolerance / 100,
+        epsabs=tol / 100,
         epsrel=1e-12,
-        limit=quad.max_subdivisions * 4,
+        limit=240,
     )
     rhs = gaussian_multiplicity_closed_form(U, V)
-    return lhs, rhs, abs(lhs - rhs) <= quad.tolerance * max(1.0, abs(rhs))
+    return lhs, rhs, abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
 
 
-def kummer_h(z: complex, U: float, V: float, lam: float = 0.5) -> complex:
-    """H_lam(z) = U^(-z/2) Gamma(z/2) 1F1(z/2, lam, V^2/(4U))."""
+def kummer_h(z: complex, U: float, V: float) -> complex:
+    """H(z) = U^(-z/2) Gamma(z/2) 1F1(z/2, 1/2, V^2/(4U))."""
     gamma_arg = V * V / (4.0 * U)
     return (
         complex(U) ** (-z / 2.0)
         * gamma_complex(z / 2.0)
-        * kummer_1f1(z / 2.0, lam, gamma_arg)
+        * kummer_1f1(z / 2.0, 0.5, gamma_arg)
     )
 
 
@@ -333,7 +315,7 @@ def _mellin_quadrature(z: complex, U: float, V: float, sign: float, tol: float) 
 
 
 def verify_mellin_pm(
-    z: complex, U: float, V: float, quad: QuadratureSpec | None = None
+    z: complex, U: float, V: float, tol: float = 1e-8
 ) -> bool:
     """Check both one-sided Mellin closed forms, their combination, and the
     rescaling identity -1/4 a^z H(z) + a^(z+2) H(z+2) at a = 1/2."""
@@ -341,9 +323,6 @@ def verify_mellin_pm(
         raise ValueError("need Re z > 0 for a convergent quadrature")
     if U <= 0:
         raise ValueError("U must be positive")
-    if quad is None:
-        quad = QuadratureSpec(tolerance=1e-8)
-    tol = quad.tolerance
     qm = _mellin_quadrature(z, U, V, -1.0, tol / 100)
     qp = _mellin_quadrature(z, U, V, +1.0, tol / 100)
     cm = mellin_fs_minus(z, U, V)

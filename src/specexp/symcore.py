@@ -373,8 +373,7 @@ class AFormPoly(SparsePoly):
 
     @staticmethod
     def _mono_mul(m1, m2):
-        d1, d2 = m1[1], m2[1]
-        return (m1[0] + m2[0], _normalize_exp(d1 + d2) if d1 and d2 else d1 or d2)
+        return (m1[0] + m2[0], _merge_exp(m1[1], m2[1]))
 
     @staticmethod
     def a_power(n: int, coeff=1) -> "AFormPoly":
@@ -389,9 +388,9 @@ class AFormPoly(SparsePoly):
         out: dict[tuple[int, tuple], Fraction] = {}
         for (a_pow, dexp), coeff in self.terms.items():
             if a_pow:
-                _acc(out, (a_pow - 1, _normalize_exp(dexp + ((1, 1),))), coeff * a_pow)
+                _acc(out, (a_pow - 1, _merge_exp(dexp, ((1, 1),))), coeff * a_pow)
             for i, e in dexp:
-                _acc(out, (a_pow, _normalize_exp(dexp + ((i, -1), (i + 1, 1)))), coeff * e)
+                _acc(out, (a_pow, _merge_exp(dexp, ((i, -1), (i + 1, 1)))), coeff * e)
         return AFormPoly._wrap(out)
 
     def eval(self, derivs: Callable[[int], float]) -> float:

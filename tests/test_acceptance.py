@@ -141,13 +141,11 @@ def test_criterion_6_dawson_identities():
     for n in (1, 2, 3):
         for _ in range(20):
             u = rng.uniform(0.25, 2.2, n)
-            lhs, rhs, ok = sf.verify_dawson_simplex(
-                n, u, sf.QuadratureSpec(tolerance=1e-9)
-            )
+            lhs, rhs, ok = sf.verify_dawson_simplex(n, u, tol=1e-9)
             assert ok, (n, list(u), lhs, rhs)
     for _ in range(5):
         u = rng.uniform(0.25, 2.2, 4)
-        lhs, rhs, ok = sf.verify_dawson_simplex(4, u, sf.QuadratureSpec(tolerance=1e-5))
+        lhs, rhs, ok = sf.verify_dawson_simplex(4, u, tol=1e-5)
         assert ok, (list(u), lhs, rhs, abs(lhs - rhs))
     dt = time.perf_counter() - t0
     assert dt < 600.0
@@ -160,9 +158,7 @@ def test_criterion_7_mellin_kummer_identities():
     for _ in range(20):
         U = float(rng.uniform(0.2, 3.0))
         V = float(rng.uniform(-3.0, 3.0))
-        lhs, rhs, ok = sf.verify_gaussian_multiplicity(
-            U, V, sf.QuadratureSpec(tolerance=1e-8)
-        )
+        lhs, rhs, ok = sf.verify_gaussian_multiplicity(U, V, tol=1e-8)
         assert ok and abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
     for _ in range(20):
         U = float(rng.uniform(0.2, 3.0))
@@ -173,7 +169,7 @@ def test_criterion_7_mellin_kummer_identities():
         z = complex(rng.uniform(0.6, 3.0), rng.uniform(-1.2, 1.2))
         U = float(rng.uniform(0.3, 2.5))
         V = float(rng.uniform(-2.5, 2.5))
-        assert sf.verify_mellin_pm(z, U, V, sf.QuadratureSpec(tolerance=1e-8)), (z, U, V)
+        assert sf.verify_mellin_pm(z, U, V, tol=1e-8), (z, U, V)
     _report(7, "Gaussian-multiplicity, z=1 collapse (1e-9) and one-sided Mellin "
                "identities (1e-8) each pass 20 seeded draws")
 

@@ -338,9 +338,38 @@ class TestConfig:
         assert code == flag_code == action_code == 0
         assert out == flag_out and out != action_out
 
-    @pytest.mark.parametrize("line", ["fast=yes", "check_golden=True", "reconcile=", "mode=bogus"])
+    @pytest.mark.parametrize(
+        "line", ["fast=yes", "check_golden=True", "reconcile=", "mode=bogus", "tolerance=1e-3"]
+    )
     def test_bad_config_value_is_validation_error(self, capsys, tmp_path, line):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(line + "\n")
         code, _, err = run(capsys, "--config", str(cfgfile), "coeff", "--order", "0")
         assert code == cli.EXIT_VALIDATION and "error:" in err
+
+    @pytest.mark.parametrize(
+        "line, argv, flags",
+        [
+            ("max-order=5", ["coeff", "--order", "5"], ["--max-order", "5"]),
+            ("check-golden=true", ["coeff", "--order", "1"], ["--check-golden"]),
+        ],
+        ids=["max-order", "check-golden"],
+    )
+    def test_flag_spelled_key_matches_flag(self, capsys, tmp_path, line, argv, flags):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(line + "\n")
+        code, out, _ = run(capsys, "--config", str(cfgfile), *argv)
+        flag_code, flag_out, _ = run(capsys, *argv, *flags)
+        assert code == flag_code == 0 and out == flag_out
+
+    @pytest.mark.parametrize("line, expected", [("format=latex", cli.EXIT_VALIDATION),
+                                                ("format=csv", cli.EXIT_OK)])
+    def test_value_checked_against_running_subcommand(self, capsys, tmp_path, line, expected):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(line + "\n")
+        code, out, err = run(capsys, "--config", str(cfgfile), "eval", "--family", "matter")
+        assert code == expected
+        if expected == cli.EXIT_OK:
+            assert out.startswith("exponent,re,im,kind\n")
+        else:
+            assert out == "" and "error:" in err

@@ -170,8 +170,7 @@ class TestDawsonSimplex:
             sf.dawson_simplex_closed_form(1, [0.0])
 
     def test_n4_gauss(self):
-        spec = sf.QuadratureSpec(tolerance=1e-5)
-        lhs, rhs, ok = sf.verify_dawson_simplex(4, [1.1, 0.6, 1.4, 0.8], spec)
+        lhs, rhs, ok = sf.verify_dawson_simplex(4, [1.1, 0.6, 1.4, 0.8], tol=1e-5)
         assert ok, (lhs, rhs)
 
     @pytest.mark.parametrize("hi, bound", [(2.2, 1e-12), (5.0, 1e-11)])
@@ -189,10 +188,10 @@ class TestDawsonSimplex:
         terms["4"][0]["coeff"] *= 1 + 1e-6
         monkeypatch.setattr(sf, "_dawson_terms", lambda: terms)
         u = [1.1, 0.6, 1.4, 0.8]
-        lhs, rhs, ok = sf.verify_dawson_simplex(4, u, sf.QuadratureSpec(tolerance=1e-9))
+        lhs, rhs, ok = sf.verify_dawson_simplex(4, u, tol=1e-9)
         assert not ok, (lhs, rhs)
         monkeypatch.undo()
-        assert sf.verify_dawson_simplex(4, u, sf.QuadratureSpec(tolerance=1e-9))[2]
+        assert sf.verify_dawson_simplex(4, u, tol=1e-9)[2]
 
 
 class TestGaussianMultiplicity:
@@ -212,6 +211,19 @@ class TestGaussianMultiplicity:
     def test_bad_u(self):
         with pytest.raises(ValueError):
             sf.verify_gaussian_multiplicity(-1.0, 0.0)
+
+
+def test_tol_is_the_pass_bound(monkeypatch):
+    # closed forms off by 1e-6 relative fail at the default tolerance, pass at tol=1e-4
+    closed = sf.gaussian_multiplicity_closed_form
+    monkeypatch.setattr(sf, "gaussian_multiplicity_closed_form",
+                        lambda U, V: closed(U, V) * (1 + 1e-6))
+    assert not sf.verify_gaussian_multiplicity(2.0, 1.0)[2]
+    assert sf.verify_gaussian_multiplicity(2.0, 1.0, tol=1e-4)[2]
+    minus = sf.mellin_fs_minus
+    monkeypatch.setattr(sf, "mellin_fs_minus", lambda z, U, V: minus(z, U, V) * (1 + 1e-6))
+    assert not sf.verify_mellin_pm(1.5 + 0.5j, 1.3, 0.7)
+    assert sf.verify_mellin_pm(1.5 + 0.5j, 1.3, 0.7, tol=1e-4)
 
 
 class TestMellin:
