@@ -52,16 +52,20 @@ def worker_count() -> int:
 
 
 def _read_config_file(path: str) -> dict:
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file {path!r}: {exc.strerror or exc}") from exc
     values = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"bad config line: {line!r}")
+        key, val = line.split("=", 1)
+        values[key.strip()] = val.strip()
     return values
 
 
@@ -244,9 +248,7 @@ def cmd_pscc(args: argparse.Namespace) -> int:
         print("exponent,re,im,kind")
         for t in terms:
             e = complex(t.exponent)
-            c = complex(float(t.coeff)) if isinstance(
-                t.coeff, (Fraction, zeta.ExactToken)
-            ) else complex(t.coeff)
+            c = complex(t.coeff)
             print(f"{e.real:+.12g}{e.imag:+.12g}j,{c.real!r},{c.imag!r},{t.kind}")
     else:
         print(pscc.expansion_table(terms))

@@ -14,6 +14,7 @@ of sum_r f(x/r) is zeta_string(s) F(s), each pole alpha of F gives a bulk row
 zeta_string(alpha) Res F, each string pole sigma a row F(sigma) Res zeta_string,
 and a string pole on a pole of F raises ``CollisionError``.  The summed f is
 real, so F is real on the real axis and is evaluated once per conjugate pair.
+The S^4-packing template and the Ford reconciliation report come from it too.
 
 Non-round scaling (spatial sections only) produces zeta-regularized bulk
 weights at s = 3 and s = 1; its pole terms have no closed form and are out of
@@ -130,6 +131,13 @@ def gaussian_test_function() -> TestFunctionMoments:
     return TestFunctionMoments(f0=1, moment=moment)
 
 
+def _moment_at(moments: TestFunctionMoments | None, alpha):
+    """f_alpha, f(0) at alpha = 0, and 1 without a test function."""
+    if moments is None:
+        return 1
+    return moments.f0 if alpha == 0 else moments.moment(alpha)
+
+
 # ----------------------------------------------------------------------
 # geometries
 # ----------------------------------------------------------------------
@@ -154,7 +162,7 @@ def s4_heat_coefficient(M: int) -> Fraction:
     """Exact coefficient of tau^(2M-4) in the unit-S^4 heat trace.
 
     Leading terms 2/3 and -2/3; for M >= 2 the value
-    (4/3)(-1)^M (zeta(1-2M) - zeta(3-2M)) / (M-2)! from the Dirac spectrum.
+    (-1)^M zeta_D(4-2M) / (M-2)! from the Dirac zeta of the unit S^4.
     """
     if M < 0:
         raise ValueError("M must be non-negative")
@@ -162,9 +170,7 @@ def s4_heat_coefficient(M: int) -> Fraction:
         return Fraction(2, 3)
     if M == 1:
         return Fraction(-2, 3)
-    z1 = zeta_mod.zeta_exact(1 - 2 * M).rat
-    z3 = zeta_mod.zeta_exact(3 - 2 * M).rat
-    return Fraction(4, 3) * (-1) ** M * (z1 - z3) / math.factorial(M - 2)
+    return (-1) ** M * zeta_mod.dirac_zeta_s4_exact(4 - 2 * M).rat / math.factorial(M - 2)
 
 
 def _bulk_coefficient(geometry: Geometry, M: int):
@@ -191,40 +197,10 @@ def _string_zeta_value(string: FractalString, s):
 
 
 def _coeff_mul(a, b):
-    """Multiply expansion coefficients, keeping exactness when possible."""
-    if isinstance(a, ExactToken) and isinstance(b, (int, Fraction, ExactToken)):
-        return a * b
-    if isinstance(b, ExactToken) and isinstance(a, (int, Fraction)):
-        return b * a
-    if isinstance(a, Fraction) and isinstance(b, (int, Fraction)):
-        return a * b
-    if isinstance(a, (int, Fraction)) and isinstance(b, Fraction):
-        return b * a
-    fa = float(a) if isinstance(a, (Fraction, ExactToken)) else a
-    fb = float(b) if isinstance(b, (Fraction, ExactToken)) else b
-    out = fa * fb
-    if isinstance(out, complex) and out.imag == 0:
-        return out.real
-    return out
-
-
-def _once_per_conjugate_pair(fn: Callable[[complex], complex]) -> Callable[[complex], complex]:
-    """fn, evaluated once per conjugate pair of the distinct points it is given.
-
-    fn must be real on the real axis, so its value at a conjugate point is the
-    conjugate of its value: the first member of a pair is evaluated and the
-    second reuses it.
-    """
-    values: dict[complex, complex] = {}
-
-    def value(sigma: complex) -> complex:
-        if sigma.conjugate() in values:
-            values[sigma] = values[sigma.conjugate()].conjugate()
-        else:
-            values[sigma] = fn(sigma)
-        return values[sigma]
-
-    return value
+    """Product of expansion coefficients: exact when both are, else numeric,
+    with a complex of zero imaginary part given as its real part."""
+    out = a * b
+    return out.real if isinstance(out, complex) and out.imag == 0 else out
 
 
 def _shown(sigma: complex):
@@ -239,11 +215,12 @@ def _singular_rows(string: FractalString, transform, transform_poles, strip):
     marks a pole of F past the truncation: it gives no value but is checked
     like the others.  Each string pole sigma in the strip gives a pole row
     (sigma, F(sigma) Res_sigma), with F evaluated once per conjugate pair.
-    An exact zero token from F is the row as it stands.  A string pole on a
-    pole of F raises CollisionError naming that pole; so does a pole of F
-    missing from ``transform_poles``, met as F's ZeroDivisionError.
+    An exact nonzero F(sigma) takes the pole's exact residue where it has
+    one; an exact zero token from F is the row as it stands.  A string pole
+    on a pole of F raises CollisionError naming that pole; so does a pole of
+    F missing from ``transform_poles``, met as F's ZeroDivisionError.
     """
-    poles = [(complex(p.sigma), p.residue) for p in string_poles(string, strip)]
+    poles = [(complex(p.sigma), p) for p in string_poles(string, strip)]
     for sigma, _ in poles:
         for alpha, _, name in transform_poles:
             if abs(sigma - alpha) < _COLLISION_TOL:
@@ -253,17 +230,24 @@ def _singular_rows(string: FractalString, transform, transform_poles, strip):
         for alpha, c, _ in transform_poles
         if c is not None
     ]
-    value = _once_per_conjugate_pair(transform)
+    values = {}  # F(sigma); F is real on the real axis, so F(conj s) = conj F(s)
     rows = []
-    for sigma, residue in poles:
-        try:
-            c = value(sigma)
-        except ZeroDivisionError as exc:
-            raise CollisionError(
-                f"string pole at {_shown(sigma)} lies on a pole of the transform "
-                f"outside its pole table") from exc
-        exact_zero = isinstance(c, ExactToken) and not c.rat
-        rows.append((sigma, c if exact_zero else c * residue))
+    for sigma, p in poles:
+        if sigma.conjugate() in values:
+            c = values[sigma.conjugate()].conjugate()
+        else:
+            try:
+                c = transform(sigma)
+            except ZeroDivisionError as exc:
+                raise CollisionError(
+                    f"string pole at {_shown(sigma)} lies on a pole of the transform "
+                    f"outside its pole table") from exc
+        values[sigma] = c
+        if not isinstance(c, ExactToken):
+            c = c * p.residue
+        elif c.rat:
+            c = _coeff_mul(c, p.residue if p.exact is None else p.exact)
+        rows.append((sigma, c))
     return bulk, rows
 
 
@@ -355,38 +339,26 @@ def round_heat_expansion(
 # spectral action under round scaling
 # ----------------------------------------------------------------------
 
-def _merge_conjugate_poles(pole_terms: list[tuple[complex, complex]]):
-    """Collapse sigma/conjugate pairs to log-periodic rows; keep real poles."""
-    out = []
-    used = set()
-    for i, (sigma, c) in enumerate(pole_terms):
-        if i in used:
-            continue
-        if abs(sigma.imag) < 1e-12:
-            out.append((sigma, c, None))
-            continue
-        partner = None
-        for j in range(i + 1, len(pole_terms)):
-            if j in used:
-                continue
-            s2, c2 = pole_terms[j]
-            if abs(s2 - sigma.conjugate()) < 1e-9:
-                partner = j
-                break
-        if partner is None:
-            out.append((sigma, c, None))
-            continue
-        used.add(partner)
-        rep = sigma if sigma.imag > 0 else pole_terms[partner][0]
-        crep = c if sigma.imag > 0 else pole_terms[partner][1]
-        log_periodic = {
-            "amplitude": 2.0 * abs(crep),
-            "a": rep.real,
-            "b": rep.imag,
-            "phase": math.atan2(crep.imag, crep.real),
-        }
-        out.append((rep, crep, log_periodic))
-    return out
+def _merge_conjugate_poles(pole_rows: list[tuple[complex, complex]]):
+    """Collapse each sigma/conjugate pair to one log-periodic row, at the
+    first member's position and represented by the member with Im > 0; keep
+    real and unpaired poles.  Partners are exact conjugates."""
+    coeffs = dict(pole_rows)
+    out = {}
+    for sigma, c in pole_rows:
+        partner = sigma.conjugate()
+        if abs(sigma.imag) < 1e-12 or partner not in coeffs:
+            out[sigma] = (sigma, c, None)
+        elif partner not in out:
+            rep = sigma if sigma.imag > 0 else partner
+            crep = coeffs[rep]
+            out[sigma] = (rep, crep, {
+                "amplitude": 2.0 * abs(crep),
+                "a": rep.real,
+                "b": rep.imag,
+                "phase": math.atan2(crep.imag, crep.real),
+            })
+    return list(out.values())
 
 
 def spectral_action(
@@ -409,29 +381,15 @@ def spectral_action(
     if lam <= 0:
         raise ValueError("Lambda must be positive")
     bulk, pole_rows = _round_scaling(string, max_m, geometry, pole_strip, moments)
-    terms: list[ExpansionTerm] = []
-    for M, zc in enumerate(bulk):
-        alpha = 4 - 2 * M
-        f_alpha = moments.f0 if alpha == 0 else moments.moment(alpha)
-        terms.append(
-            ExpansionTerm(
-                exponent=Fraction(alpha),
-                coeff=_coeff_mul(zc, f_alpha),
-                kind="bulk",
-                provenance=M,
-            )
+    return [
+        ExpansionTerm(
+            Fraction(4 - 2 * M), _coeff_mul(zc, _moment_at(moments, 4 - 2 * M)), "bulk", M
         )
-    for sigma, c, log_periodic in _merge_conjugate_poles(pole_rows):
-        terms.append(
-            ExpansionTerm(
-                exponent=sigma,
-                coeff=c,
-                kind="pole",
-                provenance=sigma,
-                log_periodic=log_periodic,
-            )
-        )
-    return terms
+        for M, zc in enumerate(bulk)
+    ] + [
+        ExpansionTerm(sigma, c, "pole", sigma, log_periodic)
+        for sigma, c, log_periodic in _merge_conjugate_poles(pole_rows)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -452,51 +410,35 @@ def s4_packing_action_terms(
     included when ``moments`` is given; otherwise rows carry the bare
     zeta-side constants (the shape used for reconciliation reports).  Rows at
     poles where zeta_D is exactly 0 are an exact 0 either way.
+
+    The rows come from ``_singular_rows`` with F = zeta_D/2 (exact at
+    integers <= 1) and bulk weights zeta_D(0), 1/2, 1/2 at the exponents 0,
+    2, 4; a string pole on one of those exponents raises CollisionError.
+    The moments multiply the rows afterwards.
     """
     strip = pole_strip if pole_strip is not None else ((-8.5, 4.5), (-46.0, 46.0))
-    rows: list[ExpansionTerm] = []
+    half = Fraction(1, 2)
+    transform_poles = [
+        (alpha, c, f"the bulk exponent {alpha}")
+        for alpha, c in ((0, zeta_mod.dirac_zeta_s4_exact(0)), (2, half), (4, half))
+    ]
 
-    def f_of(alpha):
-        if moments is None:
-            return 1
-        return moments.f0 if alpha == 0 else moments.moment(alpha)
+    def half_dirac_zeta(s):
+        zd = _dirac_zeta_s4_exact_at(s)
+        return zd * half if zd is not None else zeta_mod.dirac_zeta_s4(s) / 2.0
 
-    z0 = _coeff_mul(zeta_mod.dirac_zeta_s4_exact(0), _string_zeta_value(string, 0))
-    rows.append(
-        ExpansionTerm(Fraction(0), _coeff_mul(z0, f_of(0)), "bulk", "f(0)")
-    )
-    for alpha in (2, 4):
-        zval = _string_zeta_value(string, alpha)
-        half = (
-            zval * Fraction(1, 2)
-            if isinstance(zval, (ExactToken, Fraction))
-            else zval / 2.0
-        )
-        rows.append(
-            ExpansionTerm(
-                Fraction(alpha), _coeff_mul(half, f_of(alpha)), "bulk", f"Lambda^{alpha}"
-            )
-        )
-    zeta_d = _once_per_conjugate_pair(zeta_mod.dirac_zeta_s4)
-    for p in string_poles(string, strip):
-        sigma = complex(p.sigma)
-        zd = _dirac_zeta_s4_exact_at(sigma)
-        if zd is not None:
-            if not zd.rat:
-                # zeta_D vanishes here (sigma = -1, -3, ...): the row is an exact 0
-                # whatever f_sigma is, so the moment is not asked for
-                rows.append(ExpansionTerm(sigma, zd, "pole", sigma))
-                continue
-            weight = zd * Fraction(1, 2)
-            coeff = (
-                weight * p.exact
-                if p.exact is not None
-                else _coeff_mul(weight, p.residue)
-            )
-        else:
-            coeff = zeta_d(sigma) / 2.0 * p.residue
-        coeff = _coeff_mul(coeff, f_of(sigma))
-        rows.append(ExpansionTerm(sigma, coeff, "pole", sigma))
+    bulk, pole_rows = _singular_rows(string, half_dirac_zeta, transform_poles, strip)
+    rows = [
+        ExpansionTerm(Fraction(alpha), _coeff_mul(c, _moment_at(moments, alpha)), "bulk",
+                      f"Lambda^{alpha}" if alpha else "f(0)")
+        for (alpha, _, _), c in zip(transform_poles, bulk)
+    ]
+    for sigma, c in pole_rows:
+        # where zeta_D vanishes (sigma = -1, -3, ...) the row is an exact 0
+        # whatever f_sigma is, so the moment is not asked for
+        if not (isinstance(c, ExactToken) and not c.rat):
+            c = _coeff_mul(c, _moment_at(moments, sigma))
+        rows.append(ExpansionTerm(sigma, c, "pole", sigma))
     return rows
 
 
@@ -516,14 +458,9 @@ def ford_constants_reconciliation() -> dict:
     known to disagree with the printed table, so both values and their ratio
     are reported instead of asserting either.
     """
-    ford = FordString()
-    res1 = ExactToken(Fraction(3, 2), pi_pow=-2)  # residue of the string zeta at 1
-    pipeline = {
-        "f(0)": zeta_mod.dirac_zeta_s4_exact(0) * zeta_mod.ford_zeta_exact(0),
-        "Lambda^1": zeta_mod.dirac_zeta_s4_exact(1) * Fraction(1, 2) * res1,
-        "Lambda^2": zeta_mod.ford_zeta_exact(2) * Fraction(1, 2),
-        "Lambda^4": zeta_mod.ford_zeta_exact(4) * Fraction(1, 2),
-    }
+    # the strip holds only the Ford pole at s = 1, the Lambda^1 row
+    rows = s4_packing_action_terms(FordString(), pole_strip=((1, 1), (0, 0)))
+    pipeline = {"Lambda^1" if t.kind == "pole" else t.provenance: t.coeff for t in rows}
     report = {}
     for row, printed in PUBLISHED_FORD_CONSTANTS.items():
         pipe = pipeline[row]
@@ -667,10 +604,7 @@ def term_value(term: ExpansionTerm, x: float) -> float:
     if term.log_periodic:
         lp = term.log_periodic
         return lp["amplitude"] * x ** lp["a"] * math.cos(lp["b"] * math.log(x) + lp["phase"])
-    expo = complex(term.exponent)
-    coeff = term.coeff
-    cval = complex(float(coeff)) if isinstance(coeff, (Fraction, ExactToken)) else complex(coeff)
-    val = cval * complex(x) ** expo
+    val = complex(term.coeff) * complex(x) ** complex(term.exponent)
     return val.real
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Mapping
 
 __all__ = [
@@ -246,50 +247,33 @@ def _merge_exp(e1, e2) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-class DerivMonomial:
-    """B^(b_half/2) * prod A^(i)^a_i * prod B^(i)^b_i, exponents sparse."""
+class DerivMonomial(tuple):
+    """B^(b_half/2) * prod A^(i)^a_i * prod B^(i)^b_i, exponents sparse.
 
-    __slots__ = ("b_half", "a_exp", "b_exp", "_hash")
+    A tuple (b_half, a_exp, b_exp), so equality and hashing are the tuple's.
+    """
 
-    def __init__(self, b_half: int = 0, a_exp=(), b_exp=()):
-        self._set(int(b_half), _normalize_exp(a_exp), _normalize_exp(b_exp))
+    __slots__ = ()
 
-    def _set(self, b_half: int, a_exp, b_exp) -> None:
-        object.__setattr__(self, "b_half", b_half)
-        object.__setattr__(self, "a_exp", a_exp)
-        object.__setattr__(self, "b_exp", b_exp)
-        object.__setattr__(self, "_hash", hash((b_half, a_exp, b_exp)))
+    def __new__(cls, b_half: int = 0, a_exp=(), b_exp=()):
+        return tuple.__new__(cls, (int(b_half), _normalize_exp(a_exp), _normalize_exp(b_exp)))
 
-    def __setattr__(self, *_):
-        raise AttributeError("DerivMonomial is immutable")
+    b_half = property(itemgetter(0))
+    a_exp = property(itemgetter(1))
+    b_exp = property(itemgetter(2))
 
     def weight(self) -> int:
         """Total derivative order sum(i * exponent) over both symbol families."""
         return sum(i * e for i, e in self.a_exp) + sum(i * e for i, e in self.b_exp)
 
     def sort_key(self):
-        return (self.b_half, self.a_exp, self.b_exp)
+        return tuple(self)
 
     def __mul__(self, other: "DerivMonomial") -> "DerivMonomial":
         # both exponent tuples are already normalised: merge, do not re-validate
-        out = object.__new__(DerivMonomial)
-        out._set(
-            self.b_half + other.b_half,
-            _merge_exp(self.a_exp, other.a_exp),
-            _merge_exp(self.b_exp, other.b_exp),
-        )
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DerivMonomial)
-            and self.b_half == other.b_half
-            and self.a_exp == other.a_exp
-            and self.b_exp == other.b_exp
-        )
-
-    def __hash__(self):
-        return self._hash
+        return tuple.__new__(DerivMonomial, (
+            self[0] + other[0], _merge_exp(self[1], other[1]), _merge_exp(self[2], other[2])
+        ))
 
     def __repr__(self):
         return f"DerivMonomial({self.b_half}, {self.a_exp}, {self.b_exp})"

@@ -87,7 +87,8 @@ class ExactToken:
     """Structured exact value: rat * pi^pi_pow * prod zeta(n)/prod zeta(m).
 
     The zeta arguments are odd integers >= 3 (values not expressible through
-    powers of pi).  Tokens multiply, divide and compare structurally.
+    powers of pi).  Tokens multiply, divide and compare structurally; a
+    product with a float or complex is the float product ``float(token) * x``.
     """
 
     rat: Fraction
@@ -104,6 +105,8 @@ class ExactToken:
             object.__setattr__(self, "pi_pow", 0)
 
     def __mul__(self, other):
+        if isinstance(other, (float, complex)):
+            return float(self) * other
         if isinstance(other, (int, Fraction)):
             return ExactToken(self.rat * other, self.pi_pow, self.zeta_num, self.zeta_den)
         return ExactToken(
@@ -507,7 +510,8 @@ def string_poles(string: FractalString, strip=None) -> list[PoleTerm]:
         raise TypeError(f"unknown string type {type(string).__name__}")
     sigmas = [1 + 0j]
     sigmas += [complex(-k, 0.0) for k in range(1, math.floor(-strip[0][0] + 1e-9) + 1)]
-    sigmas += [complex(0.25, sgn * g / 2) for g in zero_ordinates() for sgn in (1, -1)]
+    if strip[0][0] <= 0.25 <= strip[0][1]:
+        sigmas += [complex(0.25, sgn * g / 2) for g in zero_ordinates() for sgn in (1, -1)]
     poles = [_ford_pole(s) for s in sigmas if _in_strip(s, strip)]
     poles.sort(key=lambda p: (p.sigma.real, p.sigma.imag))
     return poles
@@ -588,25 +592,42 @@ def ford_prefix_string(n_max: int) -> TruncatedString:
 # JSON descriptors
 # ----------------------------------------------------------------------
 
+def _json_rows(rows, name: str, fields: str, types: tuple) -> list:
+    """``rows`` if it is a list of [fields] lists with entries of ``types``."""
+    if isinstance(rows, list) and all(
+        isinstance(row, list) and len(row) == fields.count(",") + 1
+        and all(isinstance(x, types) for x in row) for row in rows
+    ):
+        return rows
+    raise ValueError(f"{name!r} must be a list of [{fields}] lists")
+
+
+def _json_radii(rows) -> list[tuple]:
+    """[[r, mult], ...] as (r, int(mult)) pairs, a string r read as a Fraction."""
+    return [
+        (Fraction(r) if isinstance(r, str) else r, int(m))
+        for r, m in _json_rows(rows, "radii", "r, mult", (int, float, str))
+    ]
+
+
 def string_from_json(obj: dict) -> FractalString:
-    """Load a string descriptor {variant, radii: [[r, mult]...], poles: [...]}."""
-    variant = obj.get("variant", "").lower()
+    """Load a string descriptor {variant, radii: [[r, mult]...], poles: [...]};
+    a malformed one raises ``ValueError``."""
+    if not isinstance(obj, dict):
+        raise ValueError("a string descriptor must be a JSON object")
+    variant = str(obj.get("variant", "")).lower()
     if variant == "ford":
         return FordString()
     if variant == "truncated":
-        pairs = []
-        for r, m in obj["radii"]:
-            if isinstance(r, str):
-                r = Fraction(r)
-            pairs.append((r, int(m)))
-        return TruncatedString(pairs)
+        return TruncatedString(_json_radii(obj["radii"]))
     if variant == "analytic":
         poles = [
             PoleTerm(complex(re, im), complex(rre, rim))
-            for re, im, rre, rim in obj.get("poles", [])
+            for re, im, rre, rim in _json_rows(
+                obj.get("poles", []), "poles", "re, im, res_re, res_im", (int, float))
         ]
-        radii = obj.get("radii", [])
-        inner = TruncatedString([(r, int(m)) for r, m in radii]) if radii else None
+        radii = _json_radii(obj.get("radii", []))
+        inner = TruncatedString(radii) if radii else None
 
         def evaluator(s, _inner=inner):
             if _inner is None:

@@ -147,6 +147,18 @@ class TestPscc:
         code, _, err = run(capsys, "pscc", "--string", "nope")
         assert code == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("obj", [
+        {"variant": "truncated", "radii": 5},
+        [1, 2],
+        {"variant": "analytic", "poles": [[0.5, 0, 1, 0]], "radii": 3},
+    ], ids=["radii-not-a-list", "not-an-object", "analytic-radii-not-a-list"])
+    def test_malformed_string_descriptor(self, capsys, tmp_path, obj):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "pscc", "--string", str(path))
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert err.startswith("error: cannot load string descriptor")
+
     def test_rw_geometry_heat_mode(self, capsys):
         code, out, _ = run(
             capsys, "pscc", "--string", "ford", "--geometry", "rw",
@@ -326,6 +338,13 @@ class TestConfig:
         cfgfile.write_text("nonsense=1\n")
         code, _, err = run(capsys, "--config", str(cfgfile), "coeff", "--order", "0")
         assert code == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing", "directory"])
+    def test_unreadable_config_file_is_validation_error(self, capsys, tmp_path, name):
+        path = str(tmp_path / name)
+        code, out, err = run(capsys, "--config", path, "coeff", "--order", "0")
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert err.startswith("error: ") and path in err and len(err.splitlines()) == 1
 
     def test_mode_heat_from_config_file(self, capsys, tmp_path):
         argv = ("pscc", "--string", "ford", "--geometry", "rw", "--family", "inflation",

@@ -352,6 +352,13 @@ class TestPackingTemplate:
         assert rows["Lambda^4"] == zt.ExactToken(Fraction(4725, 16), pi_pow=-8, zeta_num=(7,))
         assert rows[complex(1, 0)] == zt.ExactToken(Fraction(1, 2), pi_pow=-2)
 
+    @pytest.mark.parametrize("sigma", [0, 2])
+    def test_string_pole_on_a_bulk_exponent_is_a_collision(self, sigma):
+        string = zt.AnalyticString(
+            lambda z: 1.0 + 0j, [zt.PoleTerm(complex(sigma, 0), 1.0 + 0j)])
+        with pytest.raises(pscc.CollisionError, match=f"the bulk exponent {sigma}"):
+            pscc.s4_packing_action_terms(string)
+
     def test_real_pole_residues_exact(self):
         # deep strips used to overflow the numeric zeta'(-2k) to NaN
         poles = zt.string_poles(zt.FordString(), ((-200, 6), (-1, 1)))

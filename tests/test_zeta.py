@@ -105,6 +105,14 @@ class TestExactToken:
         with pytest.raises(ValueError):
             a + zt.ExactToken(Fraction(1))
 
+    def test_products_with_float_complex_and_fraction(self):
+        tok = zt.ExactToken(Fraction(3, 2), pi_pow=-2)
+        for x in (0.5, 1j, 0.25 - 3j):
+            assert tok * x == x * tok == float(tok) * x
+        assert type(tok * 0.5) is float and type(1j * tok) is complex
+        half = Fraction(1, 2)
+        assert tok * half == half * tok == zt.ExactToken(Fraction(3, 4), pi_pow=-2)
+
     def test_float_is_correctly_rounded(self):
         # a 50-digit evaluation of the whole product, rounded to a double once
         def rounded_once(tok):
@@ -452,6 +460,22 @@ class TestDescriptors:
         assert isinstance(s, zt.AnalyticString)
         assert len(s.pole_table) == 1
 
+    def test_analytic_radii_read_fractions_like_truncated(self):
+        radii = [["1/2", 3], [1, 1]]
+        analytic = zt.string_from_json({"variant": "analytic", "radii": radii})
+        truncated = zt.string_from_json({"variant": "truncated", "radii": radii})
+        for s in (2, 0.5 + 3j):
+            assert analytic.zeta(complex(s)) == truncated.zeta(complex(s))
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             zt.string_from_json({"variant": "nope"})
+
+    @pytest.mark.parametrize("obj", [
+        {"variant": "truncated", "radii": 5},
+        [1, 2],
+        {"variant": "analytic", "poles": [[0.5, 0, 1, 0]], "radii": 3},
+    ], ids=["radii-not-a-list", "not-an-object", "analytic-radii-not-a-list"])
+    def test_malformed_descriptor_is_value_error(self, obj):
+        with pytest.raises(ValueError):
+            zt.string_from_json(obj)
