@@ -402,11 +402,23 @@ def _suite_bell(args: argparse.Namespace) -> list[dict]:
     return checks
 
 
+def _suite_poles(args: argparse.Namespace) -> list[dict]:
+    """One bundled Ford pole-table row per seed, so a seed pool covers them all."""
+    try:
+        entry = args.seed % len(zeta.zero_ordinates())
+        worst = zeta.check_pole_table([entry])
+    except zeta.PoleTableError as exc:
+        return [{"name": "ford-pole-row", "pass": False, "detail": str(exc)}]
+    detail = f"row {entry}: ordinate bracketed, residue rel. diff {worst:.2g}"
+    return [{"name": "ford-pole-row", "pass": True, "detail": detail}]
+
+
 _SUITES = {
     "bridge": _suite_bridge,
     "dawson": _suite_dawson,
     "mellin": _suite_mellin,
     "bell": _suite_bell,
+    "poles": _suite_poles,
 }
 
 

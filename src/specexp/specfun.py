@@ -42,6 +42,7 @@ __all__ = [
 SQRT2 = math.sqrt(2.0)
 SQRT_PI = math.sqrt(math.pi)
 GAUSS_NODES = 24  # Gauss-Legendre nodes per axis of the simplex rule
+_GAUSS_BLOCK = 1024  # outer nodes per block of the simplex rule's innermost sum
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +167,9 @@ def _simplex_gauss(u: Sequence[float]) -> float:
 
     Substitution v_k = prod_{j>=k} z_j maps the cube onto the simplex with
     jacobian prod_k z_k^(k-1); the integrand is analytic on the cube, so the
-    rule converges exponentially in the node count.
+    rule converges exponentially in the node count.  The outer axes are
+    tensored out in full; the innermost axis (weights wz) is summed per block
+    of _GAUSS_BLOCK outer nodes, so no array holds all GAUSS_NODES^n points.
     """
     import numpy as np
 
@@ -174,12 +177,19 @@ def _simplex_gauss(u: Sequence[float]) -> float:
     w, u = _bridge_forms(u)
     v = weight = np.ones(1)
     lin_w = lin_u = np.zeros(1)
-    for k in range(len(u) - 1, -1, -1):
+    for k in range(len(u) - 1, 0, -1):
         v = np.multiply.outer(v, z).ravel()
         weight = np.multiply.outer(weight, wz * z**k).ravel()
         lin_w = np.repeat(lin_w, GAUSS_NODES) + w[k] * v
         lin_u = np.repeat(lin_u, GAUSS_NODES) + u[k] * v
-    return float(weight @ np.exp(-0.5 * (lin_w - lin_u * lin_u)))
+    total = 0.0
+    for start in range(0, v.size, _GAUSS_BLOCK):
+        block = slice(start, start + _GAUSS_BLOCK)
+        vz = np.multiply.outer(v[block], z)
+        q_w = lin_w[block, None] + w[0] * vz
+        q_u = lin_u[block, None] + u[0] * vz
+        total += float(weight[block] @ (np.exp(-0.5 * (q_w - q_u * q_u)) @ wz))
+    return total
 
 
 def verify_dawson_simplex(

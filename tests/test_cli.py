@@ -199,6 +199,39 @@ class TestVerify:
         rep = json.loads(out)
         assert rep["pass"] is True
 
+    def test_poles_suite_checks_row_seed_mod_25(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "poles", "--seed", "57",
+                           "--format", "json")
+        (check,) = json.loads(out)["suites"]["poles"]["checks"]
+        assert code == cli.EXIT_OK and check["pass"] and check["detail"].startswith("row 7:")
+
+    def test_all_includes_poles_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--fast", "--seed", "3", "--format", "json")
+        rep = json.loads(out)
+        assert code == cli.EXIT_OK and list(rep["suites"]) == [
+            "bridge", "dawson", "mellin", "bell", "poles"]
+        assert rep["suites"]["poles"]["checks"][0]["detail"].startswith("row 3:")
+
+    @pytest.mark.parametrize("corrupt", ["residue", "ordinate"])
+    def test_corrupted_pole_row_exits_verify(self, capsys, monkeypatch, corrupt):
+        good = zeta._pole_table()
+        g3 = zeta.zero_ordinates()[3]
+        if corrupt == "residue":
+            bad = {g: -res if g == g3 else res for g, res in good.items()}
+        else:
+            bad = {(g + 0.2 if g == g3 else g): res for g, res in good.items()}
+        monkeypatch.setattr(zeta, "_pole_table", lambda: bad)
+        code, out, _ = run(capsys, "verify", "--suite", "poles", "--seed", "28")
+        assert code == cli.EXIT_VERIFY and "FAIL ford-pole-row" in out
+
+    def test_malformed_pole_table_exits_verify(self, capsys, monkeypatch):
+        def malformed():
+            raise zeta.PoleTableError("expected 25 positive, strictly increasing zero ordinates")
+
+        monkeypatch.setattr(zeta, "_pole_table", malformed)
+        code, out, _ = run(capsys, "verify", "--suite", "poles")
+        assert code == cli.EXIT_VERIFY and "strictly increasing" in out
+
     def test_set_partition_counter_gives_bell_numbers(self):
         counts = [cli._count_set_partitions(n) for n in range(9)]
         assert counts == [1, 1, 2, 5, 15, 52, 203, 877, 4140]

@@ -182,6 +182,41 @@ class TestDawsonSimplex:
                 lhs, rhs, _ = sf.verify_dawson_simplex(n, u)
                 assert abs(lhs - rhs) <= bound, (n, list(u), lhs - rhs)
 
+    @staticmethod
+    def _full_tensor_gauss(u):
+        # the same rule with every GAUSS_NODES^n point held at once
+        z, wz = sf._unit_gauss_legendre()
+        w, u = sf._bridge_forms(u)
+        v = weight = np.ones(1)
+        lin_w = lin_u = np.zeros(1)
+        for k in range(len(u) - 1, -1, -1):
+            v = np.multiply.outer(v, z).ravel()
+            weight = np.multiply.outer(weight, wz * z**k).ravel()
+            lin_w = np.repeat(lin_w, sf.GAUSS_NODES) + w[k] * v
+            lin_u = np.repeat(lin_u, sf.GAUSS_NODES) + u[k] * v
+        return float(weight @ np.exp(-0.5 * (lin_w - lin_u * lin_u)))
+
+    def test_blocked_rule_matches_full_tensor(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 4):
+            for _ in range(10):
+                u = rng.uniform(0.25, 5.0, n)
+                want = self._full_tensor_gauss(u)
+                assert abs(sf._simplex_gauss(u) - want) <= 1e-15 * want, (n, list(u))
+
+    def test_n4_rule_traced_peak_below_3mb(self):
+        import tracemalloc
+
+        u = [1.1, 0.6, 1.4, 0.8]
+        sf._simplex_gauss(u)  # nodes cached outside the traced call
+        tracemalloc.start()
+        try:
+            sf._simplex_gauss(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, peak
+
     def test_perturbed_n4_term_is_caught(self, monkeypatch):
         # a 1e-6 relative error in one closed-form coefficient at n = 4
         terms = json.loads(json.dumps(sf._dawson_terms()))

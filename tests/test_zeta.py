@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from specexp import zeta as zt
+
+DATA = Path(zt.__file__).resolve().parent / "data"
 
 # 40-digit reference values, computed with an independent arbitrary-precision
 # evaluator before the build and frozen here.
@@ -398,21 +401,99 @@ class TestPoleTables:
             )
             assert abs(res - direct) <= 1e-15 * abs(direct), g
 
+    def test_bundled_ordinates_bracketed_by_siegelz(self):
+        with mp.workdps(30):
+            for g in zt.zero_ordinates():
+                lo, hi = mp.siegelz(g - 0.05), mp.siegelz(g + 0.05)
+                assert (lo < 0) != (hi < 0), g
+
+    def test_bundled_residues_equal_double_formula(self):
+        # the table holds the repr of the double this formula returns
+        table = zt._pole_table()
+        for g in zt.zero_ordinates():
+            sigma = complex(0.25, g / 2)
+            rho = 2 * sigma
+            want = 2 ** (-sigma) * zt.riemann_zeta(rho - 1) / (2 * zt.zeta_derivative(rho))
+            assert table[g] == want, g
+            assert zt._ford_pole(sigma).residue == want, g
+
+    def test_bundled_residues_match_40_digits(self):
+        texts = (DATA / "zeta_zeros.txt").read_text().split()
+        table = zt._pole_table()
+        with mp.workdps(40):
+            for text, g in zip(texts, zt.zero_ordinates()):
+                rho = mp.mpc(mp.mpf(1) / 2, mp.mpf(text))
+                want = mp.power(2, -rho / 2) * mp.zeta(rho - 1) / (2 * mp.zeta(rho, derivative=1))
+                assert abs(table[g] - complex(want)) <= 1e-13 * abs(complex(want)), g
+
+    def test_checker_passes_every_row(self):
+        assert zt.check_pole_table() == 0.0
+
     def test_corrupted_ordinate_fails_bracket(self, monkeypatch):
-        good = zt.zero_ordinates()
-        bad = "\n".join(repr(g + 0.2 if i == 0 else g) for i, g in enumerate(good))
+        good = zt._pole_table()
+        bad = {(g + 0.2 if i == 0 else g): res for i, (g, res) in enumerate(good.items())}
+        monkeypatch.setattr(zt, "_pole_table", lambda: bad)
+        with pytest.raises(RuntimeError, match="failed sign bracketing"):
+            zt.check_pole_table()
+
+    def test_corrupted_residue_fails_check(self, monkeypatch):
+        good = zt._pole_table()
+        g5 = zt.zero_ordinates()[5]
+        bad = {g: res * (1 + 1e-12) if g == g5 else res for g, res in good.items()}
+        monkeypatch.setattr(zt, "_pole_table", lambda: bad)
+        assert zt.check_pole_table([4, 6]) == 0.0
+        with pytest.raises(zt.PoleTableError, match="Ford residue"):
+            zt.check_pole_table([5])
+
+    @pytest.mark.parametrize("corrupt", ["short", "unordered", "residue-rows", "text"])
+    def test_malformed_table_is_typed_error(self, monkeypatch, corrupt):
+        files = {name: (DATA / name).read_text()
+                 for name in ("zeta_zeros.txt", "ford_residues.txt")}
+        zeros = files["zeta_zeros.txt"].split()
+        if corrupt == "short":
+            files["zeta_zeros.txt"] = "\n".join(zeros[:-1])
+        elif corrupt == "unordered":
+            files["zeta_zeros.txt"] = "\n".join([zeros[1], zeros[0]] + zeros[2:])
+        elif corrupt == "residue-rows":
+            files["ford_residues.txt"] = files["ford_residues.txt"].rsplit("\n", 2)[0]
+        else:
+            files["ford_residues.txt"] += "x y z\n"
 
         class Data:
             def joinpath(self, name):
-                return self
+                return self if name == "data" else SimpleNamespace(read_text=lambda: files[name])
 
-            def read_text(self):
-                return bad
-
-        monkeypatch.setattr(zt, "_ZERO_CACHE", None)
         monkeypatch.setattr(zt, "resources", SimpleNamespace(files=lambda pkg: Data()))
-        with pytest.raises(RuntimeError, match="failed sign bracketing"):
-            zt.zero_ordinates()
+        zt._pole_table.cache_clear()
+        try:
+            with pytest.raises(zt.PoleTableError):
+                zt.zero_ordinates()
+        finally:
+            monkeypatch.undo()
+            zt._pole_table.cache_clear()
+        assert len(zt.zero_ordinates()) == 25
+
+    def test_cold_ford_expansions_need_no_zeta_derivative(self, monkeypatch):
+        # the run-time path reads the bundled table: no bracketing, no zeta'
+        from specexp import pscc
+
+        def boom(*args, **kwargs):
+            raise AssertionError("re-derived the pole table at run time")
+
+        zt._pole_table.cache_clear()
+        zt._ford_pole.cache_clear()
+        monkeypatch.setattr(mp, "siegelz", boom)
+        monkeypatch.setattr(zt, "zeta_derivative", boom)
+        s4 = pscc.S4Geometry()
+        rows = pscc.spectral_action(zt.FordString(), pscc.gaussian_test_function(), 10.0, 2, s4)
+        assert sum(r.kind == "pole" for r in rows) == 26
+        rows = pscc.round_heat_expansion(zt.FordString(), 2, s4)
+        assert sum(r.kind == "pole" for r in rows) == 51
+
+    def test_zero_file_splits_into_25_floats(self):
+        # perfbench/workloads.py reads the ordinates as whitespace-split floats
+        zeros = [float(x) for x in (DATA / "zeta_zeros.txt").read_text().split()]
+        assert tuple(zeros) == zt.zero_ordinates() and len(zeros) == 25
 
 
 class TestDiracZeta:
