@@ -318,7 +318,7 @@ _EXACT_COMMANDS = (
 
 
 def test_coeff_and_eval_do_not_import_scipy():
-    # scipy serves only the verify suites; coeff, eval and pscc must not load it
+    # the package does not use scipy; coeff, eval and pscc must not load it
     script = _EXACT_COMMANDS + (
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
@@ -353,6 +353,18 @@ def test_verify_does_not_import_scipy_stats():
         "from specexp import cli\n"
         "code = cli.main(['verify', '--suite', 'all', '--fast'])\n"
         "print(code, sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    assert _fresh_python(script, timeout=300)[-1] == "0 []"
+
+
+@pytest.mark.parametrize("suite", ["all", *cli._SUITES])
+def test_verify_does_not_import_scipy(suite):
+    # quadrature and Dawson run on mpmath; scipy is a test-only dependency
+    script = (
+        "import sys\n"
+        "from specexp import cli\n"
+        f"code = cli.main(['verify', '--suite', '{suite}', '--fast'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     assert _fresh_python(script, timeout=300)[-1] == "0 []"
 

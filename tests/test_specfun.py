@@ -13,9 +13,14 @@ SQRT2 = math.sqrt(2.0)
 
 class TestDawson:
     def test_origin_and_oddness(self):
+        # exactly odd on every branch, signed zero included
         assert sf.dawson(0.0) == 0.0
-        for x in (0.3, 1.7, 4.2, 15.0):
-            assert sf.dawson(-x) == -sf.dawson(x)
+        assert math.copysign(1.0, sf.dawson(-0.0)) == -1.0
+        rng = np.random.default_rng(4)
+        xs = [0.3, 1.0, 1.7, 4.2, 15.0, 25.0, 1e300, *rng.uniform(0.0, 30.0, 200),
+              *np.exp(rng.uniform(3.0, 46.0, 20))]
+        for x in map(float, xs):
+            assert sf.dawson(-x) == -sf.dawson(x), x
 
     def test_derivative_at_origin(self):
         h = 1e-6
@@ -31,6 +36,48 @@ class TestDawson:
         xs = np.linspace(-20, 20, 2001)
         worst = max(abs(sf.dawson(float(x)) - ref(float(x))) for x in xs)
         assert worst <= 1e-13
+
+    @staticmethod
+    def _defining_integral(x):
+        # e^(-x^2) int_0^x e^(y^2) dy by tanh-sinh quadrature, shares no code with dawson
+        with mp.workdps(30):
+            x = mp.mpf(x)
+            return float(mp.exp(-x * x) * mp.quad(lambda y: mp.exp(y * y), [0, x]))
+
+    def test_against_defining_integral(self):
+        # the documented bound: 4 ulp on the series, 17 ulp on the erfi route
+        rng = np.random.default_rng(3)
+        xs = list(rng.uniform(-20.0, 20.0, 60)) + [-20.0, -1.5, -0.5, 0.5, 1.5, 20.0]
+        for x in xs:
+            want = self._defining_integral(float(x))
+            assert abs(sf.dawson(float(x)) - want) <= 17 * math.ulp(want), x
+
+    def test_infinities_and_nan(self):
+        for x, want in ((math.inf, 0.0), (-math.inf, -0.0)):
+            got = sf.dawson(x)
+            assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert math.isnan(sf.dawson(math.nan))
+
+    def test_large_argument_asymptote(self):
+        # F(x) = 1/(2x) (1 + 1/(2x^2) + 3/(4x^4) + 15/(8x^6) + O(x^-8)), exact to 1e-23 at x >= 1e3
+        for x in (1e3, 3.7e4, 1e8, 2.5e20, 1e300):
+            with mp.workdps(30):
+                r = 1 / mp.mpf(x) ** 2
+                want = float((1 + r / 2 + 3 * r**2 / 4 + 15 * r**3 / 8) / (2 * mp.mpf(x)))
+            assert abs(sf.dawson(x) - want) <= math.ulp(want), x
+
+    @pytest.mark.parametrize("last, first", [(1.0, math.nextafter(1.0, 2.0)),
+                                             (math.nextafter(25.0, 0.0), 25.0)])
+    def test_branch_boundaries(self, last, first):
+        # three doubles on each side of a branch switch, against a 40-digit
+        # oracle; |F'| <= 1 there, so the two neighbours differ by a few ulp
+        xs = [last, math.nextafter(last, 0.0), math.nextafter(math.nextafter(last, 0.0), 0.0),
+              first, math.nextafter(first, 30.0), math.nextafter(math.nextafter(first, 30.0), 30.0)]
+        for x in xs:
+            with mp.workdps(40):
+                want = float(mp.sqrt(mp.pi) / 2 * mp.exp(-mp.mpf(x) ** 2) * mp.erfi(x))
+            assert abs(sf.dawson(x) - want) <= 8 * math.ulp(want), x
+        assert abs(sf.dawson(first) - sf.dawson(last)) <= 8 * math.ulp(sf.dawson(first))
 
     def test_ode_residual_grid(self):
         h = 1e-6
@@ -261,6 +308,32 @@ def test_tol_is_the_pass_bound(monkeypatch):
     assert sf.verify_mellin_pm(1.5 + 0.5j, 1.3, 0.7, tol=1e-4)
 
 
+def test_quadrature_memory_is_bounded():
+    # mpmath caches quadrature nodes per interval; an interval that moved with
+    # (U, V) would grow that cache on every call: 560 KB over these 20 calls
+    import tracemalloc
+
+    rng = np.random.default_rng(8)
+
+    def draw():
+        z = complex(rng.uniform(0.6, 3.0), rng.uniform(-1.5, 1.5))
+        return z, float(rng.uniform(0.3, 2.5)), float(rng.uniform(-2.5, 2.5))
+
+    z, U, V = draw()
+    assert sf.verify_mellin_pm(z, U, V) and sf.verify_gaussian_multiplicity(U, V)[2]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            z, U, V = draw()
+            assert sf.verify_mellin_pm(z, U, V), (z, U, V)
+            assert sf.verify_gaussian_multiplicity(U, V)[2], (U, V)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024, grown
+
+
 class TestMellin:
     def test_z1_collapse_at_origin(self):
         lhs, rhs, ok = sf.verify_mellin_z1(1.0, 0.0)
@@ -277,6 +350,14 @@ class TestMellin:
     def test_pm_generic(self):
         assert sf.verify_mellin_pm(2.0, 1.0, 1.0)
         assert sf.verify_mellin_pm(1.5 + 0.5j, 0.8, -1.2)
+
+    @pytest.mark.parametrize("re_z", [0.02, 0.1, 0.3, 0.5])
+    def test_pm_small_re_z(self, re_z):
+        # the endpoint x^(z-1) sharpens as Re z falls to 0
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            z = complex(re_z, rng.uniform(-1.5, 1.5))
+            assert sf.verify_mellin_pm(z, float(rng.uniform(0.3, 2.5)), float(rng.uniform(-2.5, 2.5)))
 
     def test_pm_needs_positive_re(self):
         with pytest.raises(ValueError):
