@@ -15,9 +15,9 @@ Word integrals and moments come from one exact backward Wick recursion,
 points in [0, u] while ``open`` covariance legs wait from points above u.  It
 depends on nothing else, so one memo serves every word, spec, cell and order;
 it holds integer coefficients in the divided-power basis u^k/k!, so the only
-division is at u = 1.  The independent oracle route enumerates the Wick
-configurations as a polynomial in the simplex variables
-(``monomial_bridge_polynomial``) and integrates it term by term
+division is at u = 1.  The independent oracle route builds the moment as a
+polynomial in the simplex variables by Isserlis' recursion over the pairings
+of its legs (``monomial_bridge_polynomial``) and integrates it term by term
 (``simplex_integrate``); ``mc_estimate`` is the Monte Carlo oracle.
 
 The memos are ``lru_cache``s of immutable, deterministic values, so concurrent
@@ -153,91 +153,42 @@ def pairing_integral(n: int) -> VPoly:
     return total
 
 
-def _symmetric_moment_configs(I: Sequence[int]):
-    """Gaussian-moment index data for the monomial with exponents I.
-
-    Yields (weight, diag, offdiag) where diag[j] is the self-pairing count of
-    slot j, offdiag[(j,m)] (j<m) the total cross count s_{jm}, and weight the
-    number of ordered matrices k_{jm} realizing the configuration divided by
-    the factorials, i.e. weight = 2^(sum s) / (prod s! * prod diag!).
-
-    The enumeration follows the constraint set: sum over all entries = |I|/2
-    and per slot 2 k_jj + sum_m s_{jm} = i_j.
-    """
-    n = len(I)
-
-    def rows(j: int, residual: list[int], diag: tuple[int, ...], off: dict):
-        if j == n:
-            weight = Fraction(1)
-            s_total = 0
-            for d in diag:
-                weight /= factorial(d)
-            for s in off.values():
-                weight /= factorial(s)
-                s_total += s
-            yield weight * (2 ** s_total), diag, dict(off)
-            return
-        # residual[j] counts the remaining degree of slot j after earlier rows
-        rj = residual[j]
-        for d in range(rj // 2, -1, -1):
-            rem = rj - 2 * d
-            # distribute rem over s_{j,m} for m > j
-            targets = list(range(j + 1, n))
-
-            def distribute(idx: int, left: int, off_acc: dict):
-                if idx == len(targets):
-                    if left == 0:
-                        new_res = list(residual)
-                        new_res[j] = 0
-                        for m, s in off_acc.items():
-                            new_res[m] -= s
-                        if all(r >= 0 for r in new_res):
-                            yield from rows(j + 1, new_res, diag + (d,), off | {
-                                (j, m): s for m, s in off_acc.items() if s
-                            })
-                    return
-                m = targets[idx]
-                cap = min(left, residual[m])
-                for s in range(cap, -1, -1):
-                    yield from distribute(idx + 1, left - s, off_acc | {m: s})
-
-            yield from distribute(0, rem, {})
-
-    if sum(I) % 2 == 1:
-        return
-    yield from rows(0, list(I), (), {})
-
-
 def monomial_bridge_polynomial(I: Sequence[int]) -> VPoly:
     """Bridge moment of alpha(v_1)^i1 ... alpha(v_n)^in as a VPoly.
 
     Valid on the ordered simplex v_1 <= ... <= v_n; zero when sum(I) is odd.
+    By Isserlis' theorem the moment is the sum, over the pairings of the
+    sum(I) legs, of the product of the paired covariances, and two legs at
+    slots j <= k have covariance v_j (1 - v_k).  The recursion pairs the
+    first open leg, at the lowest slot j with legs left, with each open leg
+    at a slot k >= j: the I[k] legs there (I[j] - 1 when k = j) give the same
+    factor, so their count multiplies it once.  The moments of the remaining
+    legs are memoised for the call only, keyed by the legs left per slot.
     """
     I = tuple(int(i) for i in I)
     if any(i < 0 for i in I):
         raise ValueError("exponents must be non-negative")
-    total_deg = sum(I)
-    if total_deg % 2 == 1:
-        return VPoly.zero()
-    if total_deg == 0:
-        return VPoly.one()
-    half = total_deg // 2
-    prefactor = Fraction(1)
-    for i in I:
-        prefactor *= factorial(i)
-    prefactor *= Fraction(1, 2**half)
-    out = VPoly.zero()
-    for weight, diag, off in _symmetric_moment_configs(I):
-        term = VPoly.one()
-        for j, d in enumerate(diag):
-            if d:
-                vj = VPoly.var(j + 1)
-                term = term * (vj - vj * vj) ** d
-        for (j, m), s in off.items():
-            vj, vm = VPoly.var(j + 1), VPoly.var(m + 1)
-            term = term * (vj - vj * vm) ** s
-        out = out + term * weight
-    return out * prefactor
+    memo: dict[tuple[int, ...], VPoly] = {}
+
+    def moment(legs: tuple[int, ...]) -> VPoly:
+        j = next((j for j, i in enumerate(legs) if i), None)
+        if j is None:
+            return VPoly.one()
+        if legs not in memo:
+            total = VPoly.zero()
+            vj = VPoly.var(j + 1)
+            for k in range(j, len(legs)):
+                count = legs[k] - (k == j)
+                if count > 0:
+                    rest = list(legs)
+                    rest[j] -= 1
+                    rest[k] -= 1
+                    cov = vj - vj * VPoly.var(k + 1)
+                    total = total + moment(tuple(rest)) * cov * count
+            memo[legs] = total
+        return memo[legs]
+
+    return moment(I)
 
 
 @lru_cache(maxsize=None)
@@ -321,7 +272,7 @@ def monomial_simplex_integral(I: Sequence[int]) -> Fraction:
     The integral over v_1 <= ... <= v_n of E[alpha(v_1)^i1 ... alpha(v_n)^in],
     by the backward Wick recursion with each point's letter forced.  The
     independent oracle is simplex_integrate(monomial_bridge_polynomial(I)),
-    which enumerates the Wick configurations explicitly.
+    which sums the pairings of the legs by Isserlis' recursion.
     """
     I = tuple(int(i) for i in I)
     if any(i < 0 for i in I):

@@ -343,8 +343,9 @@ def _suite_mellin(args: argparse.Namespace) -> list[dict]:
         V = float(rng.uniform(-3.0, 3.0))
         lhs, rhs, good = specfun.verify_gaussian_multiplicity(U, V)
         ok = ok and good
-        worst = max(worst, abs(lhs - rhs))
-    checks.append({"name": "gaussian-multiplicity", "pass": ok, "detail": f"worst {worst:.2g}"})
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    detail = f"worst |diff|/max(1, |rhs|) {worst:.2g}"
+    checks.append({"name": "gaussian-multiplicity", "pass": ok, "detail": detail})
     ok = True
     for _ in range(draws):
         U = float(rng.uniform(0.2, 3.0))
@@ -488,7 +489,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--lambda", dest="lam", type=float, default=10.0,
                    help="cutoff Lambda > 0; only validated: the action rows are the "
                         "Lambda-free coefficients of Lambda^exponent")
-    p.add_argument("--testfn", choices=("gaussian",), default="gaussian")
     p.add_argument("--mode", choices=("action", "heat"), default="action")
     _add_format(p, "csv", "json")
     p.add_argument("--reconcile-paper", dest="reconcile", action="store_true")

@@ -28,9 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import mpmath as mp
+
+if TYPE_CHECKING:
+    from numpy import ndarray
+else:
+    ndarray = Any  # numpy is imported lazily; at run time hints resolve to Any
 
 __all__ = [
     "PoleError",
@@ -284,7 +289,7 @@ _N_BUCKETS = 1024 + _EXP_OFFSET + 1
 _LO_BITS, _SUM_BLOCK = 26, 1 << 16
 
 
-def _exact_sum(terms: np.ndarray) -> float:
+def _exact_sum(terms: ndarray) -> float:
     """Sum of float64 terms, computed exactly and rounded once.
 
     The mantissa halves are summed per exponent by ``np.bincount`` one block
@@ -315,25 +320,33 @@ def _exact_sum(terms: np.ndarray) -> float:
     return total / (1 << _UNIT_SHIFT)
 
 
+def _finite(x) -> bool:
+    """True for an int or a Fraction, else whether the float of x is finite."""
+    return isinstance(x, (int, Fraction)) or math.isfinite(x)
+
+
 class TruncatedString:
     """Finite explicit list of (radius, multiplicity); its zeta is entire."""
 
     variant = "truncated"
 
     def __init__(self, pairs: Sequence[tuple]):
-        pairs = [(r, int(m)) for r, m in pairs]
+        """String from (radius, multiplicity) pairs.
+
+        Radii must be finite and positive, multiplicities finite integers
+        >= 1, as for ``from_arrays``; int and Fraction radii stay exact.
+        """
+        self.pairs = []
         for r, m in pairs:
-            if (isinstance(r, (int, Fraction)) and r <= 0) or (
-                isinstance(r, float) and r <= 0.0
-            ):
-                raise ValueError("radii must be strictly positive")
-            if m < 1:
+            if not (_finite(r) and r > 0):
+                raise ValueError("radii must be finite and strictly positive")
+            if not (_finite(m) and m == int(m) and m >= 1):
                 raise ValueError("multiplicities must be positive integers")
-        self.pairs = pairs
+            self.pairs.append((r, int(m)))
         self._arrays = None
 
     @classmethod
-    def from_arrays(cls, radii: np.ndarray, mults: np.ndarray) -> "TruncatedString":
+    def from_arrays(cls, radii: ndarray, mults: ndarray) -> "TruncatedString":
         """String from float arrays of radii and multiplicities.
 
         Radii must be finite and positive, multiplicities finite integers
@@ -606,7 +619,7 @@ def dirac_zeta_s4_exact(s: int) -> ExactToken:
 # Ford- prefix helper (totient multiplicities)
 # ----------------------------------------------------------------------
 
-def euler_totient_sieve(n_max: int) -> np.ndarray:
+def euler_totient_sieve(n_max: int) -> ndarray:
     """phi(0..n_max) as an int64 array (phi[0] = 0).
 
     Only the primes p <= sqrt(n_max) are sieved by slices; meanwhile every
@@ -653,20 +666,21 @@ def ford_prefix_string(n_max: int) -> TruncatedString:
 # ----------------------------------------------------------------------
 
 def _json_rows(rows, name: str, fields: str, types: tuple) -> list:
-    """``rows`` if it is a list of [fields] lists with entries of ``types``."""
+    """``rows`` if it is a list of [fields] lists with finite entries of ``types``."""
     if isinstance(rows, list) and all(
         isinstance(row, list) and len(row) == fields.count(",") + 1
-        and all(isinstance(x, types) for x in row) for row in rows
+        and all(isinstance(x, types) and (isinstance(x, str) or _finite(x)) for x in row)
+        for row in rows
     ):
         return rows
-    raise ValueError(f"{name!r} must be a list of [{fields}] lists")
+    raise ValueError(f"{name!r} must be a list of [{fields}] lists of finite entries")
 
 
 def _json_radii(rows) -> list[tuple]:
-    """[[r, mult], ...] as (r, int(mult)) pairs, a string r read as a Fraction."""
+    """[[r, mult], ...] as (r, mult) pairs, a string entry read as a Fraction."""
     return [
-        (Fraction(r) if isinstance(r, str) else r, int(m))
-        for r, m in _json_rows(rows, "radii", "r, mult", (int, float, str))
+        tuple(Fraction(x) if isinstance(x, str) else x for x in row)
+        for row in _json_rows(rows, "radii", "r, mult", (int, float, str))
     ]
 
 

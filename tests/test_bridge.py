@@ -217,11 +217,14 @@ def _shuffle_route(spec, integral):
 
 
 class TestWickProgram:
-    def test_a8_specs_match_polynomial_route(self):
-        # the polynomial route enumerates the Wick configurations explicitly and
-        # is the one oracle that shares no code with the recursion
-        specs = [s for s in _a2m_moment_specs(4) if sum(i * m for i, m in s) % 2 == 0]
-        assert len(specs) == 40
+    @pytest.mark.parametrize("max_m, count", [
+        (4, 40), pytest.param(5, 82, marks=pytest.mark.slow),
+    ], ids=["a8", "a10"])
+    def test_a8_specs_match_polynomial_route(self, max_m, count):
+        # the polynomial route sums the pairings by Isserlis' recursion and is
+        # the one oracle that shares no code with the Wick recursion
+        specs = [s for s in _a2m_moment_specs(max_m) if sum(i * m for i, m in s) % 2 == 0]
+        assert len(specs) == count
         for spec in specs:
             total = _shuffle_route(spec, lambda w: bridge.simplex_integrate(
                 bridge.monomial_bridge_polynomial(w), len(w)))

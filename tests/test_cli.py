@@ -1,11 +1,17 @@
+import importlib
+import inspect
 import json
+import math
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
+import specexp
 from specexp import cli, zeta
 from specexp import symcore as sc
 
@@ -151,7 +157,11 @@ class TestPscc:
         {"variant": "truncated", "radii": 5},
         [1, 2],
         {"variant": "analytic", "poles": [[0.5, 0, 1, 0]], "radii": 3},
-    ], ids=["radii-not-a-list", "not-an-object", "analytic-radii-not-a-list"])
+        {"variant": "truncated", "radii": [[math.nan, 1]]},
+        {"variant": "truncated", "radii": [[0.5, 2.5]]},
+        {"variant": "analytic", "poles": [[0.5, math.inf, 1, 0]]},
+    ], ids=["radii-not-a-list", "not-an-object", "analytic-radii-not-a-list",
+            "nan-radius", "fractional-mult", "inf-pole"])
     def test_malformed_string_descriptor(self, capsys, tmp_path, obj):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
@@ -190,6 +200,14 @@ class TestVerify:
             capsys, "verify", "--suite", "mellin", "--seed", "7", "--fast", "--format", "json"
         )
         assert code1 == code2 == 0 and out1 == out2
+
+    def test_gaussian_multiplicity_reports_the_gated_figure(self, capsys):
+        # seed 6 draws |rhs| = 1.5e6, where the absolute difference is 1.4e-9
+        code, out, _ = run(capsys, "verify", "--suite", "mellin", "--seed", "6",
+                           "--format", "json")
+        check = json.loads(out)["suites"]["mellin"]["checks"][0]
+        assert code == cli.EXIT_OK and check["name"] == "gaussian-multiplicity"
+        assert check["pass"] and float(check["detail"].split()[-1]) <= 1e-10
 
     def test_bell_suite_json(self, capsys):
         code, out, _ = run(
@@ -331,6 +349,25 @@ def test_import_and_exact_commands_do_not_import_numpy():
     assert lines[0] == "False" and lines[-1] == "False"
 
 
+def test_every_annotation_resolves():
+    # typing.get_type_hints must resolve the names that annotations use,
+    # numpy's included, although no module imports numpy at its top
+    checked = set()
+    for info in pkgutil.iter_modules(specexp.__path__):
+        if info.name == "__main__":
+            continue  # importing it runs the CLI
+        module = importlib.import_module(f"specexp.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            for member in vars(obj).values() if inspect.isclass(obj) else [obj]:
+                func = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(func):
+                    typing.get_type_hints(func)
+                    checked.add(func.__qualname__)
+    assert {"_exact_sum", "euler_totient_sieve", "TruncatedString.from_arrays"} <= checked
+
+
 def test_array_paths_load_numpy_on_demand():
     script = (
         "import sys\n"
@@ -403,7 +440,8 @@ class TestConfig:
         assert out == flag_out and out != action_out
 
     @pytest.mark.parametrize(
-        "line", ["fast=yes", "check_golden=True", "reconcile=", "mode=bogus", "tolerance=1e-3"]
+        "line", ["fast=yes", "check_golden=True", "reconcile=", "mode=bogus", "tolerance=1e-3",
+                 "testfn=gaussian"]
     )
     def test_bad_config_value_is_validation_error(self, capsys, tmp_path, line):
         cfgfile = tmp_path / "run.cfg"

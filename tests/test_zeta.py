@@ -184,9 +184,11 @@ class TestStrings:
         ids=["negative-mult", "nan-radius", "inf-mult", "fractional-mult"],
     )
     def test_array_validation(self, radii, mults):
-        # the same inputs the pair-list constructor rejects
+        # both constructors reject the same inputs
         with pytest.raises(ValueError):
             zt.TruncatedString.from_arrays(np.array(radii), np.array(mults))
+        with pytest.raises(ValueError):
+            zt.TruncatedString(list(zip(radii, mults)))
 
     def test_truncated_is_entire(self):
         s = zt.TruncatedString([(1, 1), (Fraction(1, 2), 1)])
@@ -556,7 +558,12 @@ class TestDescriptors:
         {"variant": "truncated", "radii": 5},
         [1, 2],
         {"variant": "analytic", "poles": [[0.5, 0, 1, 0]], "radii": 3},
-    ], ids=["radii-not-a-list", "not-an-object", "analytic-radii-not-a-list"])
+        {"variant": "truncated", "radii": [[math.nan, 1]]},
+        {"variant": "truncated", "radii": [[0.5, 2.5]]},
+        {"variant": "truncated", "radii": [[0.5, "5/2"]]},
+        {"variant": "analytic", "poles": [[0.5, math.inf, 1, 0]]},
+    ], ids=["radii-not-a-list", "not-an-object", "analytic-radii-not-a-list",
+            "nan-radius", "fractional-mult", "fractional-string-mult", "inf-pole"])
     def test_malformed_descriptor_is_value_error(self, obj):
         with pytest.raises(ValueError):
             zt.string_from_json(obj)
