@@ -428,7 +428,9 @@ def _mc_chunk_sums(keys, n_grid: int, seed: int, chunk_index: int, todo: int):
     dt = 1.0 / n_grid
     scale = np.sqrt(dt)
     v = np.linspace(0.0, 1.0, n_grid + 1)[1:]
-    rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
+    # as a list, a key word >= 2^63 would pass through float64 and lose bits
+    key = np.array([seed, chunk_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     alpha_buf = np.empty((min(_MC_BLOCK, todo), n_grid))
     power_buf = np.empty_like(alpha_buf)
     vals = np.ones((len(keys), todo))
@@ -469,6 +471,8 @@ def mc_estimate_many(
         raise ValueError("n_paths must be >= 1000")
     if n_grid < 64:
         raise ValueError("n_grid must be >= 64")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be a Philox key word in [0, 2^64), got {seed}")
     keys = [_normalize_spec(spec) for spec in specs]
     sizes = []
     done = 0

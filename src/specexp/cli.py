@@ -77,13 +77,20 @@ def _parse_bool(raw: str) -> bool:
     raise ValidationError(f"boolean config value must be true/false/1/0, got {raw!r}")
 
 
+def _seed(raw: str) -> int:
+    """A --seed value: one Philox key word, an integer in [0, 2^64)."""
+    if not (raw.isascii() and raw.isdigit() and int(raw) < 1 << 64):
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {raw!r}")
+    return int(raw)
+
+
 def _config_value(key: str, action: argparse.Action, raw: str):
     """A config-file value, converted and checked by its option's type and choices."""
     if action.nargs == 0:  # store_true
         return _parse_bool(raw)
     try:
         value = (action.type or str)(raw)
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise ValidationError(f"config key {key!r}: invalid value {raw!r}") from None
     if action.choices is not None and value not in action.choices:
         raise ValidationError(
@@ -495,7 +502,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("verify", help="run numeric verification suites")
     p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--fast", action="store_true")
     p.add_argument("--paths", dest="mc_paths", type=int, default=200_000,
                    help="Monte Carlo path count for the bridge suite")

@@ -264,6 +264,13 @@ class TestMonteCarlo:
             bridge.mc_estimate({1: 2}, 10, 1024, 0)
         with pytest.raises(ValueError):
             bridge.mc_estimate({1: 2}, 5000, 8, 0)
+        for seed in (-1, 2**64):  # a Philox key word is 64 bits, unsigned
+            with pytest.raises(ValueError, match="seed"):
+                bridge.mc_estimate({1: 2}, 5000, 64, seed)
+
+    def test_seed_keeps_every_key_bit(self):
+        top = [bridge.mc_estimate({1: 2}, 1000, 64, 2**63 + j) for j in (0, 1)]
+        assert top[0] != top[1]
 
     def test_variance_estimate(self):
         est, se = bridge.mc_estimate({1: 2}, 50_000, 128, seed=11)

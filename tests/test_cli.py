@@ -160,8 +160,11 @@ class TestPscc:
         {"variant": "truncated", "radii": [[math.nan, 1]]},
         {"variant": "truncated", "radii": [[0.5, 2.5]]},
         {"variant": "analytic", "poles": [[0.5, math.inf, 1, 0]]},
+        {"variant": "truncated", "radii": [[True, True]]},
+        {"variant": "analytic", "poles": [[0.5, False, 1, 0]], "radii": [[1, 1]]},
     ], ids=["radii-not-a-list", "not-an-object", "analytic-radii-not-a-list",
-            "nan-radius", "fractional-mult", "inf-pole"])
+            "nan-radius", "fractional-mult", "inf-pole",
+            "bool-radius", "bool-pole"])
     def test_malformed_string_descriptor(self, capsys, tmp_path, obj):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
@@ -216,6 +219,13 @@ class TestVerify:
         assert code == 0
         rep = json.loads(out)
         assert rep["pass"] is True
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "7.5"])
+    def test_seed_outside_philox_key_exits_2(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "bridge", "--seed", seed, "--fast"])
+        assert exc.value.code == cli.EXIT_VALIDATION
+        assert "argument --seed: must be an integer in [0, 2^64)" in capsys.readouterr().err
 
     def test_poles_suite_checks_row_seed_mod_25(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "poles", "--seed", "57",
@@ -441,7 +451,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "line", ["fast=yes", "check_golden=True", "reconcile=", "mode=bogus", "tolerance=1e-3",
-                 "testfn=gaussian"]
+                 "testfn=gaussian", "seed=-1", "seed=18446744073709551616"]
     )
     def test_bad_config_value_is_validation_error(self, capsys, tmp_path, line):
         cfgfile = tmp_path / "run.cfg"

@@ -203,6 +203,7 @@ class TestStrings:
             assert phi[n] == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1), n
         for n_max in (0, 1, 2, 3, 4):
             assert list(zt.euler_totient_sieve(n_max)) == list(phi[: n_max + 1])
+        assert phi.dtype == np.int32
 
     def test_totient_sieve_gauss_identity(self):
         # sum over d | n of phi(d) = n, accumulated by slices for every n <= N
@@ -237,21 +238,69 @@ class TestStrings:
             with pytest.raises(ValueError, match="n_max"):
                 build(-1)
 
+    @staticmethod
+    def ford_terms(n_max, arg):
+        """The whole-array float64 terms phi(n) * (1/(2n^2))**arg, n <= n_max."""
+        mults = zt.euler_totient_sieve(n_max)[1:].astype(float)
+        radii = 1.0 / (2.0 * np.arange(1, n_max + 1, dtype=float) ** 2)
+        if isinstance(arg, complex):
+            return mults * np.exp(arg * np.log(radii))
+        return mults * radii**arg
+
     def test_array_sum_real_s_correctly_rounded(self):
         # the same float64 terms m * r**s, summed exactly and rounded once
         s = zt.ford_prefix_string(2000)
-        radii, mults = s._arrays
         for arg in (2.0, 2.5, 4.0):
-            terms = mults * radii**arg
+            terms = self.ford_terms(2000, arg)
             assert s.zeta(arg) == float(sum(Fraction(t) for t in terms)), arg
 
     def test_ford_prefix_sum_equals_fsum(self):
         rng = np.random.default_rng(5)
-        for n_max in rng.integers(300_000, 500_001, 2).tolist():
+        block = zt._TERM_BLOCK
+        for n_max in rng.integers(300_000, 500_001, 2).tolist() + [block - 1, block, block + 1, 1]:
             s = zt.ford_prefix_string(n_max)
-            radii, mults = s._arrays
             for arg in (2.0, 2.5, 4.0):
-                assert s.zeta(arg) == math.fsum(mults * radii**arg), (n_max, arg)
+                assert s.zeta(arg) == math.fsum(self.ford_terms(n_max, arg)), (n_max, arg)
+            # at non-real s each component of the terms is summed exactly
+            terms = self.ford_terms(n_max, 0.5 + 3j)
+            assert s.zeta(0.5 + 3j) == complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+    def test_array_string_blocks_match_whole_arrays(self):
+        rng = np.random.default_rng(8)
+        n = 2 * zt._TERM_BLOCK + 5
+        radii, mults = rng.random(n) + 0.25, rng.integers(1, 9, n).astype(float)
+        s = zt.TruncatedString.from_arrays(radii, mults)
+        assert repr(s) == f"TruncatedString(<{n} radii>)"
+        assert s.zeta(-2.0 + 0j) == math.fsum(mults * radii**-2.0)
+        terms = mults * np.exp((1 - 2j) * np.log(radii))
+        assert s.zeta(1 - 2j) == complex(math.fsum(terms.real), math.fsum(terms.imag))
+        # only the last block's term overflows; the sum restarts as math.fsum
+        radii[-1] = 1e-200
+        with np.errstate(over="ignore"):
+            assert zt.TruncatedString.from_arrays(radii, mults).zeta(-2.0) == math.inf
+
+    def test_ford_prefix_non_finite_sums_as_fsum(self):
+        s = zt.ford_prefix_string(1000)
+        with np.errstate(over="ignore"):  # the terms overflow on purpose
+            assert s.zeta(-200.0) == math.inf
+            assert math.isnan(s.zeta(math.nan))
+            with pytest.raises(OverflowError):
+                s.zeta(-60.0)
+
+    def test_ford_prefix_memory_is_bounded_by_the_block(self):
+        import tracemalloc
+
+        zt.ford_prefix_string(1000).zeta(2.0)  # load numpy
+        tracemalloc.start()
+        try:
+            s = zt.ford_prefix_string(500_000)
+            s.zeta(2.0)
+            s.zeta(4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # float64 radii and multiplicities, and whole-array terms, peak at 14.5 MB
+        assert peak < 6e6, peak
 
     def test_ford_prefix_converges_within_tail_bound(self):
         # At s = 4 the tail bound (~1.6e-34) is far below half an ulp of the
@@ -299,44 +348,48 @@ class TestExactSum:
     def exact(terms):
         return float(sum(map(Fraction, terms.tolist()), Fraction(0)))
 
+    @staticmethod
+    def summed(terms):
+        return zt._exact_sum(lambda: [terms])
+
     @pytest.mark.parametrize("n", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7])
     def test_block_boundaries(self, n):
         rng = np.random.default_rng(n)
         terms = rng.standard_normal(n) * np.exp2(rng.integers(-60, 61, n))
-        assert zt._exact_sum(terms) == self.exact(terms)
+        assert self.summed(terms) == self.exact(terms)
 
     def test_cancellation(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(5000) * np.exp2(rng.integers(-300, 300, 5000))
         to_zero = rng.permutation(np.concatenate([x, -x]))
-        assert zt._exact_sum(to_zero) == self.exact(to_zero) == 0.0
+        assert self.summed(to_zero) == self.exact(to_zero) == 0.0
         tiny = 3 * 2.0**-1074
         to_subnormal = rng.permutation(np.concatenate([x, -x, [tiny, 1e300, -1e300]]))
-        assert zt._exact_sum(to_subnormal) == self.exact(to_subnormal) == tiny
+        assert self.summed(to_subnormal) == self.exact(to_subnormal) == tiny
 
     def test_full_exponent_range(self):
         rng = np.random.default_rng(4)
         mags = np.ldexp(rng.random(4000) + 0.5, rng.integers(-1074, 1000, 4000))
         terms = np.concatenate([mags, [2.0**-1074, 2.0**1000]]) * rng.choice([-1.0, 1.0], 4002)
-        assert zt._exact_sum(terms) == self.exact(terms)
+        assert self.summed(terms) == self.exact(terms)
 
     def test_ties_round_to_even(self):
         # 1 + 2^-53 lies halfway between 1 and its successor; so does
         # (1 + 2^-52) + 2^-53 between its neighbours, and the even one is above
         down = np.array([1.0, 2.0**-53])
         up = np.array([1.0 + 2.0**-52, 2.0**-53])
-        assert zt._exact_sum(down) == self.exact(down) == 1.0
-        assert zt._exact_sum(up) == self.exact(up) == 1.0 + 2.0**-51
+        assert self.summed(down) == self.exact(down) == 1.0
+        assert self.summed(up) == self.exact(up) == 1.0 + 2.0**-51
         # 2^-200 in the next block breaks the first tie: rounding per block
         # would lose it and return 1
         spread = np.zeros(3 * 2**16 + 7)
         spread[[0, 2**16, 2**16 + 5]] = 1.0, 2.0**-53, 2.0**-200
-        assert zt._exact_sum(spread) == self.exact(spread) == 1.0 + 2.0**-52
+        assert self.summed(spread) == self.exact(spread) == 1.0 + 2.0**-52
 
     def test_non_finite_and_overflow_as_fsum(self):
         inf = np.array([1.0, math.inf])
-        assert zt._exact_sum(inf) == math.fsum(inf) == math.inf
-        assert math.isnan(zt._exact_sum(np.array([math.nan, 1.0])))
+        assert self.summed(inf) == math.fsum(inf) == math.inf
+        assert math.isnan(self.summed(np.array([math.nan, 1.0])))
         for terms, error in (
             (np.array([-math.inf, math.inf]), ValueError),
             (np.array([1e308, 1e308]), OverflowError),
@@ -344,7 +397,7 @@ class TestExactSum:
             with pytest.raises(error):
                 math.fsum(terms)
             with pytest.raises(error):
-                zt._exact_sum(terms)
+                self.summed(terms)
 
 
 class TestPoleTables:
@@ -562,8 +615,11 @@ class TestDescriptors:
         {"variant": "truncated", "radii": [[0.5, 2.5]]},
         {"variant": "truncated", "radii": [[0.5, "5/2"]]},
         {"variant": "analytic", "poles": [[0.5, math.inf, 1, 0]]},
+        {"variant": "truncated", "radii": [[True, True]]},
+        {"variant": "analytic", "poles": [[0.5, False, 1, 0]], "radii": [[1, 1]]},
     ], ids=["radii-not-a-list", "not-an-object", "analytic-radii-not-a-list",
-            "nan-radius", "fractional-mult", "fractional-string-mult", "inf-pole"])
+            "nan-radius", "fractional-mult", "fractional-string-mult", "inf-pole",
+            "bool-radius", "bool-pole"])
     def test_malformed_descriptor_is_value_error(self, obj):
         with pytest.raises(ValueError):
             zt.string_from_json(obj)
