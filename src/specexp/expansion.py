@@ -428,7 +428,8 @@ def scale_factor(
 ) -> ScaleFactor:
     """Build a scale factor: inflation, radiation, matter, empty, sphere, custom.
 
-    Every family that uses H needs it finite; radiation and matter need H > 0.
+    Every family that uses H needs it finite; radiation and matter need H > 0,
+    and empty needs H != 0 (at H = 0, a = H t vanishes identically).
     """
     if family in ("inflation", "radiation", "matter", "empty") and not math.isfinite(H):
         raise ValueError(f"the {family} scale factor needs a finite H, got {H!r}")
@@ -441,6 +442,8 @@ def scale_factor(
             return _power_law("radiation", math.sqrt(2 * H), 0.5)
         return _power_law("matter", (1.5 * H) ** (2.0 / 3.0), 2.0 / 3.0)
     if family == "empty":
+        if H == 0:
+            raise ValueError("the empty scale factor needs H != 0, got 0")
         return ScaleFactor(
             "empty", lambda i, t: H * t if i == 0 else (H if i == 1 else 0.0)
         )

@@ -14,7 +14,9 @@ of sum_r f(x/r) is zeta_string(s) F(s), each pole alpha of F gives a bulk row
 zeta_string(alpha) Res F, each string pole sigma a row F(sigma) Res zeta_string,
 and a string pole on a pole of F raises ``CollisionError``.  The summed f is
 real, so F is real on the real axis and is evaluated once per conjugate pair.
-The S^4-packing template and the Ford reconciliation report come from it too.
+The string gives ``value(s)`` and ``poles(strip)``; every F is a
+``MellinFunction``: each geometry's ``heat_mellin``, weighted by f_s for the
+spectral action, the S^4-packing template's zeta_D/2, and ``gamma_mellin``.
 
 Non-round scaling (spatial sections only) produces zeta-regularized bulk
 weights at s = 3 and s = 1; its pole terms have no closed form and are out of
@@ -27,7 +29,7 @@ by real then imaginary part).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -35,15 +37,7 @@ from . import expansion as exp_mod
 from . import zeta as zeta_mod
 from .expansion import ScaleFactor, rescale_uv
 from .specfun import gamma_complex
-from .zeta import (
-    ExactToken,
-    FordString,
-    FractalString,
-    PoleError,
-    PoleTerm,
-    TruncatedString,
-    string_poles,
-)
+from .zeta import ExactToken, FordString, FractalString, PoleError, PoleTerm, string_poles
 
 __all__ = [
     "CollisionError",
@@ -139,12 +133,141 @@ def _moment_at(moments: TestFunctionMoments | None, alpha):
 
 
 # ----------------------------------------------------------------------
-# geometries
+# the transform F and the one row core
 # ----------------------------------------------------------------------
+
+def _integer_at(s) -> int | None:
+    """The integer k with |Re s - k| and |Im s| below 1e-12, else None."""
+    k = round(s.real)
+    return k if abs(s.imag) < 1e-12 and abs(s.real - k) < 1e-12 else None
+
+
+@dataclass(frozen=True)
+class MellinFunction:
+    """A Mellin transform F: evaluator plus its table of simple poles.
+
+    A pole ``PoleTerm(alpha, c)`` is the term c u^(-alpha) in the
+    small-argument expansion of the inverse transform; a residue of None
+    marks a pole past a truncation, checked for collisions but giving no
+    term.  ``names`` holds the name a CollisionError gives each pole, one
+    per pole ("the transform pole at alpha" when empty).  The transformed f
+    is real, so F is real on the real axis: F(conj s) is taken as conj F(s).
+    ``zeros`` lists integers where F vanishes (an exact 0 once weighted).
+    """
+
+    evaluator: Callable[[complex], object]
+    poles: tuple[PoleTerm, ...]
+    names: tuple[str, ...] = ()
+    zeros: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.names and len(self.names) != len(self.poles):
+            raise ValueError(f"{len(self.names)} names for {len(self.poles)} poles")
+
+    def __call__(self, s):
+        return self.evaluator(s)
+
+
+def _weighted(F: MellinFunction, moments: TestFunctionMoments) -> MellinFunction:
+    """F(s) f_s, an exact 0 at the zeros of F, where f_s is not asked for.
+
+    The pole table stays F's: a caller multiplies each bulk row by f_alpha.
+    """
+
+    def evaluator(s):
+        if F.zeros and _integer_at(s) in F.zeros:
+            return ExactToken(0)
+        return F.evaluator(s) * moments.moment(s)
+
+    return replace(F, evaluator=evaluator)
+
+
+def _coeff_mul(a, b):
+    """Product of expansion coefficients: exact when both are, else numeric,
+    with a complex of zero imaginary part given as its real part."""
+    out = a * b
+    return out.real if isinstance(out, complex) and out.imag == 0 else out
+
+
+def _shown(sigma: complex):
+    return sigma.real if sigma.imag == 0 else sigma
+
+
+def _singular_rows(string: FractalString, F: MellinFunction, strip):
+    """Singular expansion of the Mellin transform zeta_string(s) F(s).
+
+    Each pole alpha of F with a residue c gives a bulk row (alpha,
+    zeta_string(alpha) c), in order.  Each string pole sigma in the strip
+    gives a pole row (sigma, F(sigma) Res_sigma), with F evaluated once per
+    conjugate pair.  An exact nonzero F(sigma) takes the pole's exact
+    residue where it has one; an exact zero token from F is the row as it
+    stands.  A string pole on a pole of F raises CollisionError naming that
+    pole; so does a pole of F missing from its table, met as F's
+    ZeroDivisionError.
+    """
+    poles = [(complex(p.sigma), p) for p in string_poles(string, strip)]
+    names = F.names or [f"the transform pole at {q.sigma}" for q in F.poles]
+    for sigma, _ in poles:
+        for q, name in zip(F.poles, names):
+            if abs(sigma - q.sigma) < _COLLISION_TOL:
+                raise CollisionError(f"string pole at {_shown(sigma)} collides with {name}")
+    bulk = [
+        (q.sigma, _coeff_mul(string.value(q.sigma), q.residue))
+        for q in F.poles
+        if q.residue is not None
+    ]
+    values = {}  # F(sigma); F is real on the real axis, so F(conj s) = conj F(s)
+    rows = []
+    for sigma, p in poles:
+        if sigma.conjugate() in values:
+            c = values[sigma.conjugate()].conjugate()
+        else:
+            try:
+                c = F(sigma)
+            except ZeroDivisionError as exc:
+                raise CollisionError(
+                    f"string pole at {_shown(sigma)} lies on a pole of the transform "
+                    f"outside its pole table") from exc
+        values[sigma] = c
+        if not isinstance(c, ExactToken):
+            c = c * p.residue
+        elif c.rat:
+            c = _coeff_mul(c, p.residue if p.exact is None else p.exact)
+        rows.append((sigma, c))
+    return bulk, rows
+
+
+# ----------------------------------------------------------------------
+# geometries and their heat transforms
+# ----------------------------------------------------------------------
+
+def _bulk_names(reach: int) -> tuple[str, ...]:
+    return tuple(f"the bulk exponent 4-2M for M={M}" for M in range(reach + 1))
+
 
 @dataclass(frozen=True)
 class S4Geometry:
     """Unit round 4-sphere (time-integrated exact rational heat coefficients)."""
+
+    def heat_mellin(self, max_m: int, strip) -> MellinFunction:
+        """The heat trace's transform Gamma(s/2) zeta_D(s)/2.
+
+        It has a pole at every bulk exponent 4-2M, listed down to the strip,
+        with residue ``s4_heat_coefficient(M)`` up to max_m and None past
+        it.  Its exact zeros are the odd negative integers, where zeta(s-3)
+        and zeta(s-1) both vanish.
+        """
+        low = strip[0][0]
+        reach = max(max_m, math.floor((4.0 - low) / 2.0))
+        return MellinFunction(
+            lambda s: gamma_complex(s / 2.0) / 2.0 * zeta_mod.dirac_zeta_s4(s),
+            tuple(
+                PoleTerm(4 - 2 * M, s4_heat_coefficient(M) if M <= max_m else None)
+                for M in range(reach + 1)
+            ),
+            _bulk_names(reach),
+            zeros=tuple(range(-1, math.floor(low) - 1, -2)),
+        )
 
 
 @dataclass(frozen=True)
@@ -153,6 +276,25 @@ class RWGeometry:
 
     factor: ScaleFactor
     t: float
+
+    def heat_mellin(self, max_m: int, strip) -> MellinFunction:
+        """Transform of the truncated model series sum_M a_2M(t) tau^(2M-4).
+
+        Each power tau^p contributes 1/(s + p), the continuation of its
+        unit-interval Mellin integral (the tail carries no information about
+        the asymptotic series), so the poles are the bulk exponents 4-2M for
+        M <= max_m, with residues a_2M(t), and none lie past them.
+        """
+        coeffs = [
+            (2 * M - 4, exp_mod.eval_numeric(
+                exp_mod.a2M(M), lambda i: self.factor.deriv(i, self.t)))
+            for M in range(max_m + 1)
+        ]
+        return MellinFunction(
+            lambda s: sum((c / (s + p) for p, c in coeffs), 0j),
+            tuple(PoleTerm(-p, c) for p, c in coeffs),
+            _bulk_names(max_m),
+        )
 
 
 Geometry = S4Geometry | RWGeometry
@@ -173,148 +315,13 @@ def s4_heat_coefficient(M: int) -> Fraction:
     return (-1) ** M * zeta_mod.dirac_zeta_s4_exact(4 - 2 * M).rat / math.factorial(M - 2)
 
 
-def _bulk_coefficient(geometry: Geometry, M: int):
-    if isinstance(geometry, S4Geometry):
-        return s4_heat_coefficient(M)
-    return exp_mod.eval_numeric(
-        exp_mod.a2M(M), lambda i: geometry.factor.deriv(i, geometry.t)
-    )
-
-
-def _string_zeta_value(string: FractalString, s):
-    """zeta_string(s), exact (token or Fraction) at an ``int`` s where the
-    string allows it.  A complex s is evaluated as given, at its real part
-    when it is real."""
-    if not isinstance(s, int):
-        return string.zeta(s if s.imag else s.real)
-    if isinstance(string, FordString):
-        return zeta_mod.ford_zeta_exact(s)
-    if isinstance(string, TruncatedString) and string.pairs is not None and all(
-        isinstance(r, (int, Fraction)) for r, _ in string.pairs
-    ):
-        return string.zeta(s)
-    return string.zeta(complex(s))
-
-
-def _coeff_mul(a, b):
-    """Product of expansion coefficients: exact when both are, else numeric,
-    with a complex of zero imaginary part given as its real part."""
-    out = a * b
-    return out.real if isinstance(out, complex) and out.imag == 0 else out
-
-
-def _shown(sigma: complex):
-    return sigma.real if sigma.imag == 0 else sigma
-
-
-def _singular_rows(string: FractalString, transform, transform_poles, strip):
-    """Singular expansion of the Mellin transform zeta_string(s) F(s).
-
-    ``transform_poles`` lists the poles of F as (alpha, residue c, name); each
-    gives a bulk value zeta_string(alpha) c, in order.  A residue of None
-    marks a pole of F past the truncation: it gives no value but is checked
-    like the others.  Each string pole sigma in the strip gives a pole row
-    (sigma, F(sigma) Res_sigma), with F evaluated once per conjugate pair.
-    An exact nonzero F(sigma) takes the pole's exact residue where it has
-    one; an exact zero token from F is the row as it stands.  A string pole
-    on a pole of F raises CollisionError naming that pole; so does a pole of
-    F missing from ``transform_poles``, met as F's ZeroDivisionError.
-    """
-    poles = [(complex(p.sigma), p) for p in string_poles(string, strip)]
-    for sigma, _ in poles:
-        for alpha, _, name in transform_poles:
-            if abs(sigma - alpha) < _COLLISION_TOL:
-                raise CollisionError(f"string pole at {_shown(sigma)} collides with {name}")
-    bulk = [
-        _coeff_mul(_string_zeta_value(string, alpha), c)
-        for alpha, c, _ in transform_poles
-        if c is not None
-    ]
-    values = {}  # F(sigma); F is real on the real axis, so F(conj s) = conj F(s)
-    rows = []
-    for sigma, p in poles:
-        if sigma.conjugate() in values:
-            c = values[sigma.conjugate()].conjugate()
-        else:
-            try:
-                c = transform(sigma)
-            except ZeroDivisionError as exc:
-                raise CollisionError(
-                    f"string pole at {_shown(sigma)} lies on a pole of the transform "
-                    f"outside its pole table") from exc
-        values[sigma] = c
-        if not isinstance(c, ExactToken):
-            c = c * p.residue
-        elif c.rat:
-            c = _coeff_mul(c, p.residue if p.exact is None else p.exact)
-        rows.append((sigma, c))
-    return bulk, rows
-
-
-def heat_mellin_model(coeffs: Sequence[tuple[int, float]], sigma: complex) -> complex:
-    """Mellin transform of the truncated model series sum c tau^(2M-4).
-
-    Each power tau^p contributes 1/(sigma + p) (the analytic continuation of
-    its unit-interval Mellin integral; the tail carries no extra information
-    about the asymptotic series).  Poles and residues reproduce the duality
-    between series terms and transform poles.  ``_singular_rows`` checks every
-    string pole against those poles before it asks for a value.
-    """
-    total = 0j
-    for p, c in coeffs:
-        total += c / (sigma + p)
-    return total
-
-
-def _heat_mellin(geometry: Geometry, sigma: complex, bulk: Sequence) -> complex:
-    """tilde f(sigma) = Mellin transform of the single-geometry heat trace.
-
-    ``bulk`` holds the geometry's coefficients c_2M for M = 0..maxM.
-    """
-    if isinstance(geometry, S4Geometry):
-        return gamma_complex(sigma / 2.0) / 2.0 * zeta_mod.dirac_zeta_s4(sigma)
-    return heat_mellin_model([(2 * M - 4, c) for M, c in enumerate(bulk)], sigma)
-
-
-def _dirac_zeta_s4_exact_at(sigma: complex) -> ExactToken | None:
-    """Exact zeta_D(sigma) where sigma is an integer <= 1, else None."""
-    k = round(sigma.real)
-    if abs(sigma.imag) < 1e-12 and abs(sigma.real - k) < 1e-12 and k <= 1:
-        return zeta_mod.dirac_zeta_s4_exact(k)
-    return None
-
-
-def _round_scaling(string, max_m, geometry, pole_strip, moments=None):
-    """Bulk values zeta_string(4-2M) c_2M for M = 0..max_m and the pole rows
-    of the round-scaled expansion, from ``_singular_rows``.
-
-    F is the heat trace's transform tilde-f, times f_sigma when ``moments``
-    is given.  The bulk exponents 4-2M are the poles of tilde-f; on S^4 it
-    has one at every 4-2M, so those past max_m are checked against the strip
-    too.  The RW model transform has none past max_m.  Where zeta_D is
-    exactly 0 (sigma = -1, -3, ...), the S^4 transform is its exact 0 token
-    and f_sigma is not asked for.
-    """
+def _heat_transform(geometry: Geometry, max_m: int, pole_strip):
+    """The geometry's heat transform for M = 0..max_m and the strip to
+    expand over, by default down to the last bulk exponent 4-2max_m."""
     if max_m < 0:
         raise ValueError("max_m must be non-negative")
     strip = pole_strip if pole_strip is not None else ((4.0 - 2.0 * max_m, 4.5), (-46.0, 46.0))
-    bulk = [_bulk_coefficient(geometry, M) for M in range(0, max_m + 1)]
-    s4 = isinstance(geometry, S4Geometry)
-    reach = max(max_m, math.floor((4.0 - strip[0][0]) / 2.0)) if s4 else max_m
-    transform_poles = [
-        (4 - 2 * M, bulk[M] if M <= max_m else None, f"the bulk exponent 4-2M for M={M}")
-        for M in range(0, reach + 1)
-    ]
-
-    def transform(s):
-        if moments is None:
-            return _heat_mellin(geometry, s, bulk)
-        zd = _dirac_zeta_s4_exact_at(s) if s4 else None
-        if zd is not None and not zd.rat:
-            return zd
-        return _heat_mellin(geometry, s, bulk) * moments.moment(s)
-
-    return _singular_rows(string, transform, transform_poles, strip)
+    return geometry.heat_mellin(max_m, strip), strip
 
 
 def round_heat_expansion(
@@ -328,10 +335,11 @@ def round_heat_expansion(
     Bulk terms tau^(2M-4) zeta_string(4-2M) c_2M plus, for every string pole
     sigma in the strip, a term tilde-f(sigma) Res_sigma tau^(-sigma).
     """
-    bulk, pole_rows = _round_scaling(string, max_m, geometry, pole_strip)
+    F, strip = _heat_transform(geometry, max_m, pole_strip)
+    bulk, pole_rows = _singular_rows(string, F, strip)
     return [
-        ExpansionTerm(exponent=Fraction(2 * M - 4), coeff=c, kind="bulk", provenance=M)
-        for M, c in enumerate(bulk)
+        ExpansionTerm(exponent=Fraction(-alpha), coeff=c, kind="bulk", provenance=M)
+        for M, (alpha, c) in enumerate(bulk)
     ] + [ExpansionTerm(-sigma, c, "pole", sigma) for sigma, c in pole_rows]
 
 
@@ -380,12 +388,11 @@ def spectral_action(
     """
     if lam <= 0:
         raise ValueError("Lambda must be positive")
-    bulk, pole_rows = _round_scaling(string, max_m, geometry, pole_strip, moments)
+    F, strip = _heat_transform(geometry, max_m, pole_strip)
+    bulk, pole_rows = _singular_rows(string, _weighted(F, moments), strip)
     return [
-        ExpansionTerm(
-            Fraction(4 - 2 * M), _coeff_mul(zc, _moment_at(moments, 4 - 2 * M)), "bulk", M
-        )
-        for M, zc in enumerate(bulk)
+        ExpansionTerm(Fraction(alpha), _coeff_mul(c, _moment_at(moments, alpha)), "bulk", M)
+        for M, (alpha, c) in enumerate(bulk)
     ] + [
         ExpansionTerm(sigma, c, "pole", sigma, log_periodic)
         for sigma, c, log_periodic in _merge_conjugate_poles(pole_rows)
@@ -418,20 +425,16 @@ def s4_packing_action_terms(
     """
     strip = pole_strip if pole_strip is not None else ((-8.5, 4.5), (-46.0, 46.0))
     half = Fraction(1, 2)
-    transform_poles = [
-        (alpha, c, f"the bulk exponent {alpha}")
-        for alpha, c in ((0, zeta_mod.dirac_zeta_s4_exact(0)), (2, half), (4, half))
-    ]
-
-    def half_dirac_zeta(s):
-        zd = _dirac_zeta_s4_exact_at(s)
-        return zd * half if zd is not None else zeta_mod.dirac_zeta_s4(s) / 2.0
-
-    bulk, pole_rows = _singular_rows(string, half_dirac_zeta, transform_poles, strip)
+    F = MellinFunction(
+        _half_dirac_zeta,
+        (PoleTerm(0, zeta_mod.dirac_zeta_s4_exact(0)), PoleTerm(2, half), PoleTerm(4, half)),
+        tuple(f"the bulk exponent {alpha}" for alpha in (0, 2, 4)),
+    )
+    bulk, pole_rows = _singular_rows(string, F, strip)
     rows = [
         ExpansionTerm(Fraction(alpha), _coeff_mul(c, _moment_at(moments, alpha)), "bulk",
                       f"Lambda^{alpha}" if alpha else "f(0)")
-        for (alpha, _, _), c in zip(transform_poles, bulk)
+        for alpha, c in bulk
     ]
     for sigma, c in pole_rows:
         # where zeta_D vanishes (sigma = -1, -3, ...) the row is an exact 0
@@ -440,6 +443,14 @@ def s4_packing_action_terms(
             c = _coeff_mul(c, _moment_at(moments, sigma))
         rows.append(ExpansionTerm(sigma, c, "pole", sigma))
     return rows
+
+
+def _half_dirac_zeta(s: complex):
+    """zeta_D(s)/2, an exact token at an integer s <= 1."""
+    k = _integer_at(s)
+    if k is not None and k <= 1:
+        return zeta_mod.dirac_zeta_s4_exact(k) * Fraction(1, 2)
+    return zeta_mod.dirac_zeta_s4(s) / 2.0
 
 
 PUBLISHED_FORD_CONSTANTS = {
@@ -505,28 +516,17 @@ def nonround_zeta_coefficients(
     tau-power are merged.  A string with a pole at s = 1 (e.g. Ford) fails.
     """
     try:
-        w3 = _string_zeta_value(string, 3)
-        w1 = _string_zeta_value(string, 1)
+        w3 = string.value(3)
+        w1 = string.value(1)
     except PoleError as exc:
         raise PoleError(f"divergent zeta_string(1) for this packing: {exc}") from exc
     if geometry is None:
-        rows = []
-        for M in range(0, max_m + 1):
-            if M % 2 == 1:
-                continue  # odd orders integrate to zero against the bridge
-            quarter_w3 = _coeff_mul(w3, Fraction(1, 4))
-            quarter_w1 = _coeff_mul(w1, Fraction(-1, 4))
-            half_w3 = _coeff_mul(w3, Fraction(1, 2))
-            rows.append(
-                ExpansionTerm(Fraction(M - 2), quarter_w3, "bulk", (M, "C(-5/2,2)"))
-            )
-            rows.append(
-                ExpansionTerm(Fraction(M - 2), quarter_w1, "bulk", (M, "C(-1/2,0)"))
-            )
-            rows.append(
-                ExpansionTerm(Fraction(M - 4), half_w3, "bulk", (M, "C(-3/2,0)"))
-            )
-        return rows
+        weights = ((2, _coeff_mul(w3, Fraction(1, 4)), "C(-5/2,2)"),
+                   (2, _coeff_mul(w1, Fraction(-1, 4)), "C(-1/2,0)"),
+                   (4, _coeff_mul(w3, Fraction(1, 2)), "C(-3/2,0)"))
+        # odd orders integrate to zero against the bridge
+        return [ExpansionTerm(Fraction(M - shift), w, "bulk", (M, label))
+                for M in range(0, max_m + 1, 2) for shift, w, label in weights]
     if isinstance(geometry, S4Geometry):
         raise ValueError("non-round scaling needs a pointwise RW geometry")
     derivs = lambda i: geometry.factor.deriv(i, geometry.t)  # noqa: E731
@@ -548,20 +548,6 @@ def nonround_zeta_coefficients(
 # generic singular-expansion combination
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MellinFunction:
-    """A Mellin transform: evaluator plus its table of simple poles.
-
-    A pole at alpha with residue c corresponds to the term c u^(-alpha) in the
-    small-argument expansion of the inverse transform.  The transformed f is
-    real, so the evaluator is real on the real axis: its value at a conjugate
-    point is taken as the conjugate of its value.
-    """
-
-    evaluator: Callable[[complex], complex]
-    poles: tuple[PoleTerm, ...]
-
-
 def gamma_mellin(max_order: int = 12) -> MellinFunction:
     """Mellin transform of exp(-u): Gamma, with poles at -k, residues (-1)^k/k!."""
     poles = tuple(
@@ -582,14 +568,9 @@ def singular_expansion_combine(
     per conjugate pair of string poles (f is real, so M(f) is real on the
     real axis).  The two pole sets must be disjoint.
     """
-    transform_poles = [
-        (complex(p.sigma), p.residue, f"the transform pole at {p.sigma}")
-        for p in mellin_of_f.poles
-    ]
-    bulk, pole_rows = _singular_rows(string, mellin_of_f.evaluator, transform_poles, None)
-    terms = [
-        ExpansionTerm(-alpha, c, "bulk", alpha) for (alpha, _, _), c in zip(transform_poles, bulk)
-    ] + [ExpansionTerm(-sigma, c, "pole", sigma) for sigma, c in pole_rows]
+    bulk, pole_rows = _singular_rows(string, mellin_of_f, None)
+    terms = [ExpansionTerm(-alpha, c, "bulk", alpha) for alpha, c in bulk]
+    terms += [ExpansionTerm(-sigma, c, "pole", sigma) for sigma, c in pole_rows]
     terms.sort(key=lambda t: (complex(t.exponent).real, complex(t.exponent).imag))
     return terms
 

@@ -8,11 +8,13 @@ products rational * pi^k * zeta(odd)^(+-1).
 Fractal strings describe the multiset of radii of a packing.  Three variants:
 the Ford-circle string (closed form 2^-s zeta(2s-1)/zeta(2s)), truncated
 explicit radius lists, and user-supplied analytic descriptors with a pole
-table.  ``string_poles`` returns the poles in a strip; for the Ford string
-these are s=1, the negative integers (trivial zeros of zeta(2s)) and half the
-nontrivial zeros.  Their ordinates and residues ship as data files, read once
-with shape checks only; ``check_pole_table`` re-derives them (Hardy-Z sign
-bracketing, the residue formula) for the tests and ``verify --suite poles``.
+table.  Each gives ``value(s)``, its zeta exact where it can be, and
+``poles(strip)``, the simple poles in a strip with their residues; for the
+Ford string these are s=1, the negative integers (trivial zeros of zeta(2s))
+and half the nontrivial zeros.  Their ordinates and residues ship as data
+files, read once with shape checks only; ``check_pole_table`` re-derives them
+(Hardy-Z sign bracketing, the residue formula) for the tests and
+``verify --suite poles``.
 Ford residues are memoised per pole; those at s = 1 and s = -k are exact
 tokens.
 
@@ -266,13 +268,30 @@ class PoleTerm:
     exact: ExactToken | None = None
 
 
+def _plain(s):
+    """s as given, or its real part when s is a complex on the real axis."""
+    return s if s.imag else s.real
+
+
 class FordString:
     """Radii of the Ford circle packing: radius 1/(2n^2) with multiplicity phi(n)."""
 
-    variant = "ford"
-
     def zeta(self, s: complex) -> complex:
         return ford_zeta(s)
+
+    def value(self, s):
+        """zeta at s: an exact token at an int s, else ``ford_zeta``."""
+        return ford_zeta_exact(s) if isinstance(s, int) else ford_zeta(_plain(s))
+
+    def poles(self, strip) -> list[PoleTerm]:
+        """The poles in the strip, by real then imaginary part (``_ford_pole``)."""
+        sigmas = [1 + 0j]
+        sigmas += [complex(-k, 0.0) for k in range(1, math.floor(-strip[0][0] + 1e-9) + 1)]
+        if strip[0][0] <= 0.25 <= strip[0][1]:
+            sigmas += [complex(0.25, sgn * g / 2) for g in zero_ordinates() for sgn in (1, -1)]
+        poles = [_ford_pole(s) for s in sigmas if _in_strip(s, strip)]
+        poles.sort(key=lambda p: (p.sigma.real, p.sigma.imag))
+        return poles
 
     def __repr__(self):
         return "FordString()"
@@ -341,8 +360,6 @@ class TruncatedString:
     most ``_TERM_BLOCK`` entries each, so no call holds every term at once.
     """
 
-    variant = "truncated"
-
     def __init__(self, pairs: Sequence[tuple]):
         """String from (radius, multiplicity) pairs.
 
@@ -371,12 +388,15 @@ class TruncatedString:
         """String from float arrays of radii and multiplicities.
 
         Radii must be finite and positive, multiplicities finite integers
-        >= 1, as for the pair-list constructor.
+        >= 1, as for the pair-list constructor.  The string keeps read-only
+        copies of both arrays.
         """
         import numpy as np
 
-        radii = np.asarray(radii, dtype=float)
-        mults = np.asarray(mults, dtype=float)
+        # read-only copies: later writes to the caller's arrays cannot reach
+        radii = np.array(radii, dtype=float)
+        mults = np.array(mults, dtype=float)
+        radii.flags.writeable = mults.flags.writeable = False
         if not (np.isfinite(radii).all() and (radii > 0).all()):
             raise ValueError("radii must be finite and strictly positive")
         integral = np.isfinite(mults) & (mults == np.floor(mults))
@@ -422,6 +442,14 @@ class TruncatedString:
             total += m * complex(r) ** complex(s)
         return total if total.imag else total.real
 
+    def value(self, s):
+        """``zeta`` at s (at Re s on the real axis), exact as ``zeta`` is."""
+        return self.zeta(_plain(s))
+
+    def poles(self, strip) -> list[PoleTerm]:
+        """None: the zeta of a finite string is entire."""
+        return []
+
     def __repr__(self):
         if self._blocks is not None:
             return f"TruncatedString(<{self._size} radii>)"
@@ -430,8 +458,6 @@ class TruncatedString:
 
 class AnalyticString:
     """User-supplied zeta evaluator with a table of simple poles."""
-
-    variant = "analytic"
 
     def __init__(self, evaluator: Callable[[complex], complex], poles: Sequence[PoleTerm]):
         sigmas = [p.sigma for p in poles]
@@ -444,6 +470,14 @@ class AnalyticString:
 
     def zeta(self, s: complex) -> complex:
         return self.evaluator(s)
+
+    def value(self, s):
+        """The evaluator at complex(s) for an int s, else as ``_plain(s)``."""
+        return self.evaluator(complex(s) if isinstance(s, int) else _plain(s))
+
+    def poles(self, strip) -> list[PoleTerm]:
+        """The stored poles inside the strip, in table order."""
+        return [p for p in self.pole_table if _in_strip(complex(p.sigma), strip)]
 
     def __repr__(self):
         return f"AnalyticString(<{len(self.pole_table)} poles>)"
@@ -593,29 +627,9 @@ def _ford_pole(sigma: complex) -> PoleTerm:
 
 
 def string_poles(string: FractalString, strip=None) -> list[PoleTerm]:
-    """Poles of the string zeta inside the strip ((reMin,reMax),(imMin,imMax)).
-
-    Ford: {1} with residue 3/(2 pi^2), the negative integers (from the trivial
-    zeros of zeta(2s)) with exact residues, and rho/2 over the bundled
-    nontrivial zeros rho, with the bundled residues.  Residues are
-    memoised per pole.  Truncated strings are entire; analytic descriptors
-    return their stored table filtered to the strip.
-    """
-    if strip is None:
-        strip = ((-12.0, 6.0), (-50.0, 50.0))
-    if isinstance(string, TruncatedString):
-        return []
-    if isinstance(string, AnalyticString):
-        return [p for p in string.pole_table if _in_strip(complex(p.sigma), strip)]
-    if not isinstance(string, FordString):
-        raise TypeError(f"unknown string type {type(string).__name__}")
-    sigmas = [1 + 0j]
-    sigmas += [complex(-k, 0.0) for k in range(1, math.floor(-strip[0][0] + 1e-9) + 1)]
-    if strip[0][0] <= 0.25 <= strip[0][1]:
-        sigmas += [complex(0.25, sgn * g / 2) for g in zero_ordinates() for sgn in (1, -1)]
-    poles = [_ford_pole(s) for s in sigmas if _in_strip(s, strip)]
-    poles.sort(key=lambda p: (p.sigma.real, p.sigma.imag))
-    return poles
+    """``string.poles(strip)``: the simple poles of the string zeta inside the
+    strip ((reMin,reMax),(imMin,imMax)), ((-12, 6), (-50, 50)) by default."""
+    return string.poles(((-12.0, 6.0), (-50.0, 50.0)) if strip is None else strip)
 
 
 # ----------------------------------------------------------------------

@@ -115,6 +115,16 @@ class TestEval:
         )
         assert code == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--family", "empty", "--H", "0", "--t", "2", "--maxM", "2"],
+        ["pscc", "--string", "ford", "--geometry", "rw", "--family", "empty", "--H", "0"],
+    ], ids=["eval", "pscc"])
+    def test_empty_universe_with_zero_h_is_validation_error(self, capsys, argv):
+        # a = H t is identically 0 at H = 0: no all-zero rows, exit 2
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert "H != 0" in err
+
     def test_float_overflow_is_validation_error(self, capsys):
         # t^(1/2 - i) leaves the double range in the derivatives of a(t)
         code, out, err = run(

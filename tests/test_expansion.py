@@ -289,6 +289,13 @@ class TestHeatTraceSeries:
         with pytest.raises(ZeroDivisionError):
             ex.heat_trace_series(3, factor, 0.0)
 
+    def test_empty_universe_needs_nonzero_h(self):
+        # a = H t vanishes identically at H = 0
+        for H in (0.0, -0.0, 0):
+            with pytest.raises(ValueError, match="H != 0"):
+                ex.scale_factor("empty", H=H)
+        assert ex.scale_factor("empty", H=-1.5).deriv(0, 2.0) == -3.0
+
     @pytest.mark.parametrize("family", ["radiation", "matter"])
     def test_power_law_domain(self, family):
         for H in (0.0, -1.0, math.nan, math.inf):

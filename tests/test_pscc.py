@@ -107,11 +107,11 @@ class TestRoundHeatExpansion:
         terms = pscc.round_heat_expansion(zt.FordString(), 2, geometry, strip)
         rows = {t.provenance: t.coeff for t in terms if t.kind == "pole"}
         assert len(rows) == 50
-        bulk = [pscc._bulk_coefficient(geometry, M) for M in range(3)]
+        heat = geometry.heat_mellin(2, strip)
         for sigma, c in rows.items():
             assert rows[sigma.conjugate()] == c.conjugate()
             # the shared weight against a direct evaluation at each member
-            direct = pscc._heat_mellin(geometry, sigma, bulk) * zt._ford_pole(sigma).residue
+            direct = heat(sigma) * zt._ford_pole(sigma).residue
             assert abs(c - direct) <= 1e-14 * abs(direct), sigma
 
     # reaches the Ford pole at -2, the S^4 bulk exponent at M = 3
@@ -293,15 +293,15 @@ class TestSpectralAction:
         terms = pscc.spectral_action(zt.FordString(), counting, 10.0, 2, pscc.S4Geometry())
         non_real = [s for s in asked if s.imag != 0]
         assert len(non_real) == 25 == len({(s.real, abs(s.imag)) for s in non_real})
-        # each merged row against tilde-f f Res evaluated at its Im > 0 member
-        bulk = [pscc._bulk_coefficient(pscc.S4Geometry(), M) for M in range(3)]
+        # each merged row against tilde-f f Res evaluated at its Im > 0 member,
+        # tilde-f the S^4 heat transform over the default maxM = 2 strip
+        heat = pscc.S4Geometry().heat_mellin(2, ((0.0, 4.5), (-46.0, 46.0)))
         merged = [t for t in terms if t.log_periodic]
         assert len(merged) == 25
         for t in merged:
             sigma = t.exponent
             assert sigma.imag > 0
-            want = (pscc._heat_mellin(pscc.S4Geometry(), sigma, bulk) * g.moment(sigma)
-                    * zt._ford_pole(sigma).residue)
+            want = heat(sigma) * g.moment(sigma) * zt._ford_pole(sigma).residue
             assert abs(t.coeff - want) <= 1e-14 * abs(want), sigma
 
     def test_s4_zero_row_matches_packing_template(self):
@@ -480,6 +480,17 @@ class TestSingularExpansion:
         with pytest.raises(pscc.CollisionError):
             pscc.singular_expansion_combine(bad, pscc.gamma_mellin(6))
 
+    def test_collision_names_the_transform_pole(self):
+        bad = zt.AnalyticString(lambda z: 1.0 + 0j, [zt.PoleTerm(-2.0 + 0j, 1.0 + 0j)])
+        named = pscc.MellinFunction(gamma_complex, pscc.gamma_mellin(3).poles,
+                                    ("Gamma at 0", "Gamma at -1", "Gamma at -2", "Gamma at -3"))
+        with pytest.raises(pscc.CollisionError, match=r"at -2\.0 collides with Gamma at -2$"):
+            pscc.singular_expansion_combine(bad, named)
+        with pytest.raises(pscc.CollisionError, match=r"with the transform pole at \(-2\+0j\)$"):
+            pscc.singular_expansion_combine(bad, pscc.gamma_mellin(3))
+        # one name per pole, or the poles past the last name would go unchecked
+        with pytest.raises(ValueError, match="1 names for 4 poles"):
+            pscc.MellinFunction(gamma_complex, pscc.gamma_mellin(3).poles, ("Gamma at 0",))
 
     def test_pole_outside_the_transform_pole_table(self):
         # gamma_mellin(0) lists only the pole at 0; Gamma also has one at -12,

@@ -194,6 +194,22 @@ class TestStrings:
         s = zt.TruncatedString([(1, 1), (Fraction(1, 2), 1)])
         assert zt.string_poles(s) == []
 
+    def test_value_is_exact_where_the_string_allows(self):
+        # an int argument is exact on the Ford and rational strings; a complex
+        # on the real axis is taken at its real part
+        assert zt.FordString().value(2) == zt.ford_zeta_exact(2)
+        assert zt.FordString().value(2.5 + 0j) == zt.ford_zeta(2.5)
+        rational = zt.TruncatedString([(1, 1), (Fraction(1, 2), 2)])
+        assert rational.value(2) == Fraction(3, 2)
+        assert rational.value(2.0 + 0j) == Fraction(3, 2)
+        assert rational.value(1 + 1j) == rational.zeta(1 + 1j)
+        assert zt.TruncatedString([(0.5, 1)]).value(2) == 0.25
+        asked = []
+        analytic = zt.AnalyticString(lambda z: asked.append(z) or 1.0, [])
+        analytic.value(2)
+        analytic.value(3.0 + 0j)
+        assert asked == [2 + 0j, 3.0] and type(asked[0]) is complex and type(asked[1]) is float
+
     def test_totient_sieve(self):
         phi = zt.euler_totient_sieve(12)
         assert list(phi[1:13]) == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
@@ -278,6 +294,16 @@ class TestStrings:
         radii[-1] = 1e-200
         with np.errstate(over="ignore"):
             assert zt.TruncatedString.from_arrays(radii, mults).zeta(-2.0) == math.inf
+
+    def test_array_string_keeps_read_only_copies(self):
+        radii, mults = np.array([0.5, 0.25]), np.array([1.0, 2.0])
+        s = zt.TruncatedString.from_arrays(radii, mults)
+        want = math.fsum(mults * radii**0.5)
+        # writes to the caller's arrays after construction do not reach the string
+        radii[0], mults[1] = -1.0, 7.0
+        assert s.zeta(0.5) == want == math.fsum([0.5**0.5, 1.0])
+        for block in next(s._blocks()):
+            assert not block.flags.writeable
 
     def test_ford_prefix_non_finite_sums_as_fsum(self):
         s = zt.ford_prefix_string(1000)
