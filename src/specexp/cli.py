@@ -240,15 +240,12 @@ def cmd_pscc(args: argparse.Namespace) -> int:
         geometry = pscc.RWGeometry(expansion.scale_factor(args.family, H=args.H), args.t)
     if args.lam <= 0:
         raise ValidationError("lambda must be positive")
-    try:
-        if args.mode == "heat":
-            terms = pscc.round_heat_expansion(string, args.max_m, geometry)
-        else:
-            terms = pscc.spectral_action(
-                string, pscc.gaussian_test_function(), args.lam, args.max_m, geometry
-            )
-    except pscc.CollisionError as exc:
-        raise ValidationError(str(exc)) from exc
+    if args.mode == "heat":
+        terms = pscc.round_heat_expansion(string, args.max_m, geometry)
+    else:
+        terms = pscc.spectral_action(
+            string, pscc.gaussian_test_function(), args.lam, args.max_m, geometry
+        )
     if args.fmt == "json":
         print(json.dumps(pscc.expansion_to_json(terms)))
     elif args.fmt == "csv":
@@ -533,10 +530,8 @@ def main(argv=None) -> int:
             if not math.isfinite(value):
                 raise ValidationError(f"--{flag} must be finite, got {value!r}")
         return _DISPATCH[args.command](args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (zeta.PoleError, ValueError, symcore.FloatRangeError) as exc:
+    except (ValidationError, ValueError, symcore.FloatRangeError) as exc:
+        # ValueError covers PoleError and CollisionError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -14,9 +14,12 @@ of sum_r f(x/r) is zeta_string(s) F(s), each pole alpha of F gives a bulk row
 zeta_string(alpha) Res F, each string pole sigma a row F(sigma) Res zeta_string,
 and a string pole on a pole of F raises ``CollisionError``.  The summed f is
 real, so F is real on the real axis and is evaluated once per conjugate pair.
-The string gives ``value(s)`` and ``poles(strip)``; every F is a
-``MellinFunction``: each geometry's ``heat_mellin``, weighted by f_s for the
-spectral action, the S^4-packing template's zeta_D/2, and ``gamma_mellin``.
+Each factor has one evaluator, exact wherever it can be: the string gives
+``zeta(s)`` and ``poles(strip)``, and every F is a ``MellinFunction`` whose
+evaluator returns ``ExactToken(0)`` where F vanishes exactly.  The F's are
+each geometry's ``heat_mellin``, weighted by f_s for the spectral action, the
+S^4-packing template's zeta_D/2, and ``gamma_mellin``.  The test function is
+one callable, ``moment(alpha)`` = f_alpha (``gaussian_test_function``).
 
 Non-round scaling (spatial sections only) produces zeta-regularized bulk
 weights at s = 3 and s = 1; its pole terms have no closed form and are out of
@@ -37,12 +40,11 @@ from . import expansion as exp_mod
 from . import zeta as zeta_mod
 from .expansion import ScaleFactor, rescale_uv
 from .specfun import gamma_complex
-from .zeta import ExactToken, FordString, FractalString, PoleError, PoleTerm, string_poles
+from .zeta import ExactToken, FordString, FractalString, PoleError, PoleTerm, _plain, string_poles
 
 __all__ = [
     "CollisionError",
     "ExpansionTerm",
-    "TestFunctionMoments",
     "gaussian_test_function",
     "S4Geometry",
     "RWGeometry",
@@ -51,6 +53,7 @@ __all__ = [
     "spectral_action",
     "s4_packing_action_terms",
     "ford_constants_reconciliation",
+    "ford_constants_report_text",
     "nonround_zeta_coefficients",
     "MellinFunction",
     "gamma_mellin",
@@ -88,25 +91,16 @@ class ExpansionTerm:
     log_periodic: dict | None = None
 
 
-@dataclass(frozen=True)
-class TestFunctionMoments:
-    """Moments of the cutoff test function f.
+def gaussian_test_function() -> Callable[[complex], complex | Fraction]:
+    """The moments of f(x) = exp(-x^2), as the one callable the action takes.
 
-    ``moment(alpha)`` must return f_alpha = int_0^inf f(v) v^(alpha-1) dv for
-    Re alpha > 0 (complex alpha allowed), f(0) at alpha = 0, and the
-    sign-normalized derivative value for negative even integers.
-    """
-
-    f0: float | int
-    moment: Callable[[complex], complex | Fraction]
-
-
-def gaussian_test_function() -> TestFunctionMoments:
-    """Moments of f(x) = exp(-x^2): f_alpha = Gamma(alpha/2)/2 for Re alpha > 0.
-
-    At even alpha the moment is an exact Fraction: (alpha/2 - 1)!/2 at positive
-    alpha and (2j)!/j! at alpha = -2j, so rows built from exact zeta values
-    stay exact.
+    A test function is given by its moments: ``moment(alpha)`` returns
+    f_alpha = int_0^inf f(v) v^(alpha-1) dv for Re alpha > 0 (complex alpha
+    allowed), f(0) at alpha = 0, and the sign-normalized derivative value at
+    negative even integers.  For the Gaussian f_alpha = Gamma(alpha/2)/2, and
+    f(0) is the int 1.  At even alpha the moment is an exact Fraction:
+    (alpha/2 - 1)!/2 at positive alpha and (2j)!/j! at alpha = -2j, so rows
+    built from exact zeta values stay exact.
     """
 
     def moment(alpha: complex) -> complex | Fraction:
@@ -122,14 +116,12 @@ def gaussian_test_function() -> TestFunctionMoments:
             raise ValueError("negative moments defined at even integers only")
         return gamma_complex(alpha / 2.0) / 2.0
 
-    return TestFunctionMoments(f0=1, moment=moment)
+    return moment
 
 
-def _moment_at(moments: TestFunctionMoments | None, alpha):
-    """f_alpha, f(0) at alpha = 0, and 1 without a test function."""
-    if moments is None:
-        return 1
-    return moments.f0 if alpha == 0 else moments.moment(alpha)
+def _moment_at(moment, alpha):
+    """f_alpha, and 1 without a test function."""
+    return 1 if moment is None else moment(alpha)
 
 
 # ----------------------------------------------------------------------
@@ -152,13 +144,12 @@ class MellinFunction:
     term.  ``names`` holds the name a CollisionError gives each pole, one
     per pole ("the transform pole at alpha" when empty).  The transformed f
     is real, so F is real on the real axis: F(conj s) is taken as conj F(s).
-    ``zeros`` lists integers where F vanishes (an exact 0 once weighted).
+    Where F vanishes exactly, the evaluator returns ``ExactToken(0)``.
     """
 
     evaluator: Callable[[complex], object]
     poles: tuple[PoleTerm, ...]
     names: tuple[str, ...] = ()
-    zeros: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.names and len(self.names) != len(self.poles):
@@ -168,16 +159,21 @@ class MellinFunction:
         return self.evaluator(s)
 
 
-def _weighted(F: MellinFunction, moments: TestFunctionMoments) -> MellinFunction:
-    """F(s) f_s, an exact 0 at the zeros of F, where f_s is not asked for.
+def _exact_zero(c) -> bool:
+    """Whether c is an exact 0 token: a row that stays 0 whatever f_s is, so
+    the moment is not asked for there."""
+    return isinstance(c, ExactToken) and not c.rat
+
+
+def _weighted(F: MellinFunction, moment) -> MellinFunction:
+    """F(s) f_s, with an exact 0 from F as it stands.
 
     The pole table stays F's: a caller multiplies each bulk row by f_alpha.
     """
 
     def evaluator(s):
-        if F.zeros and _integer_at(s) in F.zeros:
-            return ExactToken(0)
-        return F.evaluator(s) * moments.moment(s)
+        c = F(s)
+        return c if _exact_zero(c) else c * moment(s)
 
     return replace(F, evaluator=evaluator)
 
@@ -187,10 +183,6 @@ def _coeff_mul(a, b):
     with a complex of zero imaginary part given as its real part."""
     out = a * b
     return out.real if isinstance(out, complex) and out.imag == 0 else out
-
-
-def _shown(sigma: complex):
-    return sigma.real if sigma.imag == 0 else sigma
 
 
 def _singular_rows(string: FractalString, F: MellinFunction, strip):
@@ -210,9 +202,9 @@ def _singular_rows(string: FractalString, F: MellinFunction, strip):
     for sigma, _ in poles:
         for q, name in zip(F.poles, names):
             if abs(sigma - q.sigma) < _COLLISION_TOL:
-                raise CollisionError(f"string pole at {_shown(sigma)} collides with {name}")
+                raise CollisionError(f"string pole at {_plain(sigma)} collides with {name}")
     bulk = [
-        (q.sigma, _coeff_mul(string.value(q.sigma), q.residue))
+        (q.sigma, _coeff_mul(string.zeta(q.sigma), q.residue))
         for q in F.poles
         if q.residue is not None
     ]
@@ -226,12 +218,12 @@ def _singular_rows(string: FractalString, F: MellinFunction, strip):
                 c = F(sigma)
             except ZeroDivisionError as exc:
                 raise CollisionError(
-                    f"string pole at {_shown(sigma)} lies on a pole of the transform "
+                    f"string pole at {_plain(sigma)} lies on a pole of the transform "
                     f"outside its pole table") from exc
         values[sigma] = c
         if not isinstance(c, ExactToken):
             c = c * p.residue
-        elif c.rat:
+        elif not _exact_zero(c):
             c = _coeff_mul(c, p.residue if p.exact is None else p.exact)
         rows.append((sigma, c))
     return bulk, rows
@@ -254,20 +246,26 @@ class S4Geometry:
 
         It has a pole at every bulk exponent 4-2M, listed down to the strip,
         with residue ``s4_heat_coefficient(M)`` up to max_m and None past
-        it.  Its exact zeros are the odd negative integers, where zeta(s-3)
-        and zeta(s-1) both vanish.
+        it.  At the odd negative integers, where zeta(s-3) and zeta(s-1)
+        both vanish, it is ``ExactToken(0)``.
         """
-        low = strip[0][0]
-        reach = max(max_m, math.floor((4.0 - low) / 2.0))
+        reach = max(max_m, math.floor((4.0 - strip[0][0]) / 2.0))
         return MellinFunction(
-            lambda s: gamma_complex(s / 2.0) / 2.0 * zeta_mod.dirac_zeta_s4(s),
+            _s4_heat_transform,
             tuple(
                 PoleTerm(4 - 2 * M, s4_heat_coefficient(M) if M <= max_m else None)
                 for M in range(reach + 1)
             ),
             _bulk_names(reach),
-            zeros=tuple(range(-1, math.floor(low) - 1, -2)),
         )
+
+
+def _s4_heat_transform(s: complex):
+    """Gamma(s/2) zeta_D(s)/2, an exact 0 at an odd negative integer s."""
+    k = _integer_at(s)
+    if k is not None and k < 0 and k % 2:
+        return ExactToken(0)
+    return gamma_complex(s / 2.0) / 2.0 * zeta_mod.dirac_zeta_s4(s)
 
 
 @dataclass(frozen=True)
@@ -371,7 +369,7 @@ def _merge_conjugate_poles(pole_rows: list[tuple[complex, complex]]):
 
 def spectral_action(
     string: FractalString,
-    moments: TestFunctionMoments,
+    moment: Callable[[complex], object],
     lam: float,
     max_m: int,
     geometry: Geometry,
@@ -385,13 +383,14 @@ def spectral_action(
     pole pairs merged into the real form 2|c| Lambda^a cos(b ln Lambda + phase).
     ``lam`` is only validated (it must be positive): the rows do not depend on
     it, and a caller evaluates a row at a cutoff with ``term_value(row, lam)``.
+    ``moment(alpha)`` gives f_alpha, as ``gaussian_test_function()`` does.
     """
     if lam <= 0:
         raise ValueError("Lambda must be positive")
     F, strip = _heat_transform(geometry, max_m, pole_strip)
-    bulk, pole_rows = _singular_rows(string, _weighted(F, moments), strip)
+    bulk, pole_rows = _singular_rows(string, _weighted(F, moment), strip)
     return [
-        ExpansionTerm(Fraction(alpha), _coeff_mul(c, _moment_at(moments, alpha)), "bulk", M)
+        ExpansionTerm(Fraction(alpha), _coeff_mul(c, _moment_at(moment, alpha)), "bulk", M)
         for M, (alpha, c) in enumerate(bulk)
     ] + [
         ExpansionTerm(sigma, c, "pole", sigma, log_periodic)
@@ -405,7 +404,7 @@ def spectral_action(
 
 def s4_packing_action_terms(
     string: FractalString,
-    moments: TestFunctionMoments | None = None,
+    moment: Callable[[complex], object] | None = None,
     pole_strip=None,
 ) -> list[ExpansionTerm]:
     """Leading spectral-action rows for a packing of round 4-spheres.
@@ -414,7 +413,7 @@ def s4_packing_action_terms(
         f(0) zeta_D(0) zeta_string(0),  f_2 Lambda^2 zeta_string(2)/2,
         f_4 Lambda^4 zeta_string(4)/2,  and per pole f_sigma zeta_D(sigma)/2 Res,
     with exact tokens wherever the string provides them.  Moment factors are
-    included when ``moments`` is given; otherwise rows carry the bare
+    included when ``moment`` is given; otherwise rows carry the bare
     zeta-side constants (the shape used for reconciliation reports).  Rows at
     poles where zeta_D is exactly 0 are an exact 0 either way.
 
@@ -432,15 +431,14 @@ def s4_packing_action_terms(
     )
     bulk, pole_rows = _singular_rows(string, F, strip)
     rows = [
-        ExpansionTerm(Fraction(alpha), _coeff_mul(c, _moment_at(moments, alpha)), "bulk",
+        ExpansionTerm(Fraction(alpha), _coeff_mul(c, _moment_at(moment, alpha)), "bulk",
                       f"Lambda^{alpha}" if alpha else "f(0)")
         for alpha, c in bulk
     ]
     for sigma, c in pole_rows:
         # where zeta_D vanishes (sigma = -1, -3, ...) the row is an exact 0
-        # whatever f_sigma is, so the moment is not asked for
-        if not (isinstance(c, ExactToken) and not c.rat):
-            c = _coeff_mul(c, _moment_at(moments, sigma))
+        if not _exact_zero(c):
+            c = _coeff_mul(c, _moment_at(moment, sigma))
         rows.append(ExpansionTerm(sigma, c, "pole", sigma))
     return rows
 
@@ -516,8 +514,8 @@ def nonround_zeta_coefficients(
     tau-power are merged.  A string with a pole at s = 1 (e.g. Ford) fails.
     """
     try:
-        w3 = string.value(3)
-        w1 = string.value(1)
+        w3 = string.zeta(3)
+        w1 = string.zeta(1)
     except PoleError as exc:
         raise PoleError(f"divergent zeta_string(1) for this packing: {exc}") from exc
     if geometry is None:
@@ -535,11 +533,12 @@ def nonround_zeta_coefficients(
     for K in range(0, max_m + 1):
         # complete coefficient of tau^(2K-4): the 1/2-weighted main branch at
         # order 2K plus the 1/4-weighted pair at order 2K-2 (odd orders vanish)
-        coeff = 0.5 * float(w3) * exp_mod.eval_numeric(cell(exp_mod.R_MAIN, 0, 2 * K), derivs)
+        main = exp_mod.eval_numeric(cell(exp_mod.R_MAIN, 0, 2 * K), derivs)
+        coeff = _coeff_mul(0.5 * w3, main)
         if K >= 1:
             c_plus = exp_mod.eval_numeric(cell(exp_mod.R_PLUS, 2, 2 * K - 2), derivs)
             c_minus = exp_mod.eval_numeric(cell(exp_mod.R_MINUS, 0, 2 * K - 2), derivs)
-            coeff += 0.25 * (float(w3) * c_plus - float(w1) * c_minus)
+            coeff += _coeff_mul(0.25, w3 * c_plus - w1 * c_minus)
         rows.append(ExpansionTerm(Fraction(2 * K - 4), coeff, "bulk", K))
     return rows
 

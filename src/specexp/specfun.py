@@ -31,6 +31,7 @@ __all__ = [
     "kummer_1f1",
     "dawson_simplex_closed_form",
     "verify_dawson_simplex",
+    "gaussian_multiplicity_closed_form",
     "verify_gaussian_multiplicity",
     "verify_mellin_z1",
     "verify_mellin_pm",

@@ -8,15 +8,15 @@ products rational * pi^k * zeta(odd)^(+-1).
 Fractal strings describe the multiset of radii of a packing.  Three variants:
 the Ford-circle string (closed form 2^-s zeta(2s-1)/zeta(2s)), truncated
 explicit radius lists, and user-supplied analytic descriptors with a pole
-table.  Each gives ``value(s)``, its zeta exact where it can be, and
-``poles(strip)``, the simple poles in a strip with their residues; for the
-Ford string these are s=1, the negative integers (trivial zeros of zeta(2s))
-and half the nontrivial zeros.  Their ordinates and residues ship as data
-files, read once with shape checks only; ``check_pole_table`` re-derives them
-(Hardy-Z sign bracketing, the residue formula) for the tests and
-``verify --suite poles``.
-Ford residues are memoised per pole; those at s = 1 and s = -k are exact
-tokens.
+table.  Each gives one evaluator, ``zeta(s)``, exact where the string allows
+(an int s on the Ford string, an integer s on rational radii) and taken at
+Re s for a complex s on the real axis, and ``poles(strip)``, the simple poles
+in a strip with their residues.  For the Ford string these are s=1, the
+negative integers (trivial zeros of zeta(2s)) and half the nontrivial zeros.
+Their ordinates and residues ship as data files, read once with shape checks
+only; ``check_pole_table`` re-derives them (Hardy-Z sign bracketing, the
+residue formula) for the tests and ``verify --suite poles``.  Ford residues
+are memoised per pole; those at s = 1 and s = -k are exact tokens.
 
 Evaluators are pure; the pole table is immutable after load.  numpy is
 imported only where an array string is built or summed.
@@ -60,6 +60,8 @@ __all__ = [
     "zero_ordinates",
     "PoleTableError",
     "check_pole_table",
+    "string_from_json",
+    "load_string",
 ]
 
 
@@ -269,18 +271,16 @@ class PoleTerm:
 
 
 def _plain(s):
-    """s as given, or its real part when s is a complex on the real axis."""
+    """s as given, or its real part when s is a complex on the real axis (the
+    one real-axis rule of the string evaluators and of the pscc messages)."""
     return s if s.imag else s.real
 
 
 class FordString:
     """Radii of the Ford circle packing: radius 1/(2n^2) with multiplicity phi(n)."""
 
-    def zeta(self, s: complex) -> complex:
-        return ford_zeta(s)
-
-    def value(self, s):
-        """zeta at s: an exact token at an int s, else ``ford_zeta``."""
+    def zeta(self, s):
+        """An exact token at an int s, else ``ford_zeta``."""
         return ford_zeta_exact(s) if isinstance(s, int) else ford_zeta(_plain(s))
 
     def poles(self, strip) -> list[PoleTerm]:
@@ -413,24 +413,27 @@ class TruncatedString:
     def zeta(self, s):
         """Finite Dirichlet sum; exact Fraction for rational radii and integer s.
 
-        An array string holds float64 radii.  At real s it returns the
-        correctly rounded sum of its float64 terms ``m * r**s``
-        (``_exact_sum``, equal to ``math.fsum`` of the terms); at non-real s
-        the real and imaginary parts of the float64 terms
-        ``m * exp(s log r)`` are each summed so.
+        A complex s on the real axis is taken at its real part.  An array
+        string holds float64 radii.  At real s it returns the correctly
+        rounded sum of its float64 terms ``m * r**s`` (``_exact_sum``, equal
+        to ``math.fsum`` of the terms); at non-real s the real and imaginary
+        parts of the float64 terms ``m * exp(s log r)`` are each summed so.
         """
+        s = _plain(s)
         if self._blocks is not None:
             import numpy as np
 
-            if isinstance(s, complex) and s.imag != 0:
+            if isinstance(s, complex):
                 def terms(part):
                     return lambda: (part(m * np.exp(s * np.log(r))) for r, m in self._blocks())
 
                 return complex(_exact_sum(terms(np.real)), _exact_sum(terms(np.imag)))
             x = float(np.real(s))
             return _exact_sum(lambda: (m * r**x for r, m in self._blocks()))
-        exact = isinstance(s, (int, Fraction)) or (
-            isinstance(s, float) and float(s).is_integer()
+        exact = (
+            isinstance(s, int)
+            or (isinstance(s, Fraction) and s.denominator == 1)
+            or (isinstance(s, float) and s.is_integer())
         )
         if exact and all(isinstance(r, (int, Fraction)) for r, _ in self.pairs):
             si = int(s)
@@ -441,10 +444,6 @@ class TruncatedString:
         for r, m in self.pairs:
             total += m * complex(r) ** complex(s)
         return total if total.imag else total.real
-
-    def value(self, s):
-        """``zeta`` at s (at Re s on the real axis), exact as ``zeta`` is."""
-        return self.zeta(_plain(s))
 
     def poles(self, strip) -> list[PoleTerm]:
         """None: the zeta of a finite string is entire."""
@@ -468,10 +467,7 @@ class AnalyticString:
         self.evaluator = evaluator
         self.pole_table = tuple(poles)
 
-    def zeta(self, s: complex) -> complex:
-        return self.evaluator(s)
-
-    def value(self, s):
+    def zeta(self, s):
         """The evaluator at complex(s) for an int s, else as ``_plain(s)``."""
         return self.evaluator(complex(s) if isinstance(s, int) else _plain(s))
 

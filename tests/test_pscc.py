@@ -161,22 +161,22 @@ class TestSpectralAction:
 
     def test_exact_gaussian_moments_keep_s4_bulk_rows_exact(self):
         g = pscc.gaussian_test_function()
-        assert g.f0 == 1 and g.moment(0) == 1
+        assert g(0) == 1
         for alpha, want in ((2, Fraction(1, 2)), (4, Fraction(1, 2)), (6, Fraction(1)), (8, Fraction(3))):
-            assert type(g.moment(alpha)) is Fraction and g.moment(alpha) == want
+            assert type(g(alpha)) is Fraction and g(alpha) == want
         terms = pscc.spectral_action(zt.FordString(), g, 100.0, 2, pscc.S4Geometry())
         heat = pscc.round_heat_expansion(zt.FordString(), 2, pscc.S4Geometry())
         bulk = [t for t in terms if t.kind == "bulk"]
         heat_bulk = [t for t in heat if t.kind == "bulk"]
         assert len(bulk) == 3 and all(isinstance(t.coeff, zt.ExactToken) for t in bulk)
         for row, heat_row in zip(bulk, heat_bulk):
-            assert row.coeff == heat_row.coeff * g.moment(4 - 2 * row.provenance)
+            assert row.coeff == heat_row.coeff * g(4 - 2 * row.provenance)
         # at M >= 3 the moments sit at negative even alpha
         terms = pscc.spectral_action(two_ball_string(), g, 10.0, 4, pscc.S4Geometry())
         heat = pscc.round_heat_expansion(two_ball_string(), 4, pscc.S4Geometry())
         for row, heat_row in zip(terms, heat):
             assert type(row.coeff) is Fraction
-            assert row.coeff == heat_row.coeff * g.moment(4 - 2 * row.provenance)
+            assert row.coeff == heat_row.coeff * g(4 - 2 * row.provenance)
 
     def test_rows_do_not_depend_on_lambda(self):
         g = pscc.gaussian_test_function()
@@ -287,10 +287,9 @@ class TestSpectralAction:
 
         def moment(alpha):
             asked.append(complex(alpha))
-            return g.moment(alpha)
+            return g(alpha)
 
-        counting = pscc.TestFunctionMoments(f0=g.f0, moment=moment)
-        terms = pscc.spectral_action(zt.FordString(), counting, 10.0, 2, pscc.S4Geometry())
+        terms = pscc.spectral_action(zt.FordString(), moment, 10.0, 2, pscc.S4Geometry())
         non_real = [s for s in asked if s.imag != 0]
         assert len(non_real) == 25 == len({(s.real, abs(s.imag)) for s in non_real})
         # each merged row against tilde-f f Res evaluated at its Im > 0 member,
@@ -301,7 +300,7 @@ class TestSpectralAction:
         for t in merged:
             sigma = t.exponent
             assert sigma.imag > 0
-            want = heat(sigma) * g.moment(sigma) * zt._ford_pole(sigma).residue
+            want = heat(sigma) * g(sigma) * zt._ford_pole(sigma).residue
             assert abs(t.coeff - want) <= 1e-14 * abs(want), sigma
 
     def test_s4_zero_row_matches_packing_template(self):
@@ -313,15 +312,30 @@ class TestSpectralAction:
 
         def moment(alpha):
             asked.append(complex(alpha))
-            return g.moment(alpha)
+            return g(alpha)
 
-        counting = pscc.TestFunctionMoments(f0=g.f0, moment=moment)
-        terms = pscc.spectral_action(zt.FordString(), counting, 10.0, 2, pscc.S4Geometry(), strip)
+        terms = pscc.spectral_action(zt.FordString(), moment, 10.0, 2, pscc.S4Geometry(), strip)
         row = [t for t in terms if t.exponent == -1]
         template = pscc.s4_packing_action_terms(zt.FordString(), g, strip)
         assert row == [t for t in template if t.exponent == -1]
         assert row[0].coeff == zt.ExactToken(Fraction(0))
         assert -1 not in asked
+
+    def test_s4_heat_row_at_minus_one_is_exact_zero(self):
+        # the S^4 heat transform gives its own exact 0 where zeta_D vanishes,
+        # so the heat row agrees with the action and template rows there
+        strip = ((-1.5, 4.5), (-1, 1))
+        g = pscc.gaussian_test_function()
+        built = (
+            pscc.round_heat_expansion(zt.FordString(), 2, pscc.S4Geometry(), strip),
+            pscc.spectral_action(zt.FordString(), g, 10.0, 2, pscc.S4Geometry(), strip),
+            pscc.s4_packing_action_terms(zt.FordString(), g, strip),
+        )
+        heat, action, template = (
+            [t.coeff for t in terms if t.kind == "pole" and t.provenance == -1]
+            for terms in built)
+        assert heat == [zt.ExactToken(Fraction(0))] and type(heat[0]) is zt.ExactToken
+        assert action == template == heat
 
     def test_rw_strip_reaching_minus_one_needs_the_moment(self):
         with pytest.raises(ValueError, match="negative moments"):
@@ -332,8 +346,8 @@ class TestSpectralAction:
         g = pscc.gaussian_test_function()
         for alpha in (4.0, 2.0, 1.0, 0.5, 3.3):
             ref, _ = si.quad(lambda v: math.exp(-v * v) * v ** (alpha - 1), 0, 30)
-            assert abs(g.moment(alpha) - ref) < 1e-9
-        assert g.moment(-2) == 2.0 and g.moment(-4) == 12.0
+            assert abs(g(alpha) - ref) < 1e-9
+        assert g(-2) == 2.0 and g(-4) == 12.0
 
 
 class TestPackingTemplate:
@@ -396,7 +410,7 @@ class TestPackingTemplate:
         assert len(complex_rows) == 50
         for t in complex_rows:
             sigma = complex(t.exponent)
-            want = real(sigma) / 2.0 * poles[sigma].residue * g.moment(sigma)
+            want = real(sigma) / 2.0 * poles[sigma].residue * g(sigma)
             assert repr(t.coeff) == repr(want), sigma
 
     def test_gaussian_moments_with_default_strip(self):
@@ -410,9 +424,9 @@ class TestPackingTemplate:
         for j in (1, 2, 3, 4):
             # f_(-2j) = (2j)!/j! exactly, so these rows stay exact tokens
             sigma = complex(-2 * j, 0)
-            assert g.moment(sigma) == Fraction(math.factorial(2 * j), math.factorial(j))
+            assert g(sigma) == Fraction(math.factorial(2 * j), math.factorial(j))
             assert isinstance(rows[sigma], zt.ExactToken)
-            assert rows[sigma] == bare[sigma] * g.moment(sigma)
+            assert rows[sigma] == bare[sigma] * g(sigma)
 
 
 class TestLeadingConstantReconciliation:
@@ -446,6 +460,17 @@ class TestNonRound:
         hs = dict(ex.heat_trace_series(3, ex.scale_factor("inflation", 1.0), 0.5))
         for t in rows:
             assert abs(t.coeff - hs[int(t.exponent)]) < 1e-10
+
+    def test_complex_weights_on_rw(self):
+        # a complex-valued string zeta is used as given, as without a geometry
+        geo = pscc.RWGeometry(ex.scale_factor("inflation", 1.0), 0.5)
+        base = two_ball_string()
+        tilted = zt.AnalyticString(lambda s: (1 + 1j) * base.zeta(s), [])
+        want = pscc.nonround_zeta_coefficients(base, 3, geo)
+        got = pscc.nonround_zeta_coefficients(tilted, 3, geo)
+        assert [t.exponent for t in got] == [t.exponent for t in want]
+        for t, w in zip(got, want):
+            assert abs(t.coeff - (1 + 1j) * w.coeff) <= 1e-15 * abs((1 + 1j) * w.coeff)
 
     def test_ford_diverges(self):
         with pytest.raises(zt.PoleError):

@@ -172,6 +172,12 @@ class TestStrings:
     def test_empty_string(self):
         assert zt.TruncatedString([]).zeta(2) == 0
 
+    def test_fractional_argument_is_not_rounded(self):
+        # only an integer s gives the exact rational sum
+        s = zt.TruncatedString([(Fraction(1, 4), 1)])
+        assert s.zeta(Fraction(1, 2)) == 0.5
+        assert s.zeta(Fraction(4, 2)) == Fraction(1, 16)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             zt.TruncatedString([(0, 1)])
@@ -197,17 +203,16 @@ class TestStrings:
     def test_value_is_exact_where_the_string_allows(self):
         # an int argument is exact on the Ford and rational strings; a complex
         # on the real axis is taken at its real part
-        assert zt.FordString().value(2) == zt.ford_zeta_exact(2)
-        assert zt.FordString().value(2.5 + 0j) == zt.ford_zeta(2.5)
+        assert zt.FordString().zeta(2) == zt.ford_zeta_exact(2)
+        assert zt.FordString().zeta(2.5 + 0j) == zt.ford_zeta(2.5)
         rational = zt.TruncatedString([(1, 1), (Fraction(1, 2), 2)])
-        assert rational.value(2) == Fraction(3, 2)
-        assert rational.value(2.0 + 0j) == Fraction(3, 2)
-        assert rational.value(1 + 1j) == rational.zeta(1 + 1j)
-        assert zt.TruncatedString([(0.5, 1)]).value(2) == 0.25
+        assert rational.zeta(2) == Fraction(3, 2)
+        assert rational.zeta(2.0 + 0j) == Fraction(3, 2)
+        assert zt.TruncatedString([(0.5, 1)]).zeta(2) == 0.25
         asked = []
         analytic = zt.AnalyticString(lambda z: asked.append(z) or 1.0, [])
-        analytic.value(2)
-        analytic.value(3.0 + 0j)
+        analytic.zeta(2)
+        analytic.zeta(3.0 + 0j)
         assert asked == [2 + 0j, 3.0] and type(asked[0]) is complex and type(asked[1]) is float
 
     def test_totient_sieve(self):
