@@ -7,7 +7,8 @@ AFormPoly and the u/v letter sums of the expansion assembly
 (``expansion._UVTerms``).
 
 The templates for fixed (n, k) hold exact ``int`` coefficients, so an
-evaluation over an integer carrier never leaves int arithmetic.  They are
+evaluation over an integer carrier never leaves int arithmetic; the
+expansion assembly reads its Bell pieces straight off them.  They are
 memoized because the same indices recur thousands of times across the series
 assemblies; the memo table is only ever appended to with identical values, so
 concurrent lookups are safe.
@@ -48,9 +49,9 @@ def bell_template(n: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
                 denom *= factorial(m) * factorial(i) ** m
             results.append((factorial(n) // denom, lam))
             return
-        if pos > width or rem_k <= 0 or rem_n < rem_k or rem_n > rem_k * (width):
+        # every remaining part has size between pos and width
+        if pos > width or rem_k <= 0 or rem_n < rem_k * pos or rem_n > rem_k * width:
             return
-        # remaining letters all have index >= pos, so rem_n >= pos*... pruning:
         max_mult = min(rem_k, rem_n // pos)
         for m in range(max_mult, -1, -1):
             descend(pos + 1, rem_n - pos * m, rem_k - m, acc + (m,))

@@ -5,19 +5,20 @@ through partial Bell polynomials over the u- and v-sequences
 
     u_n = B^(n)(t) 2^(n/2) x_n(alpha),     v_n = A^(n+1)(t) 2^(n/2) x_n(alpha),
 
-with u_0 = B and v_0 = A'; its Bell pieces are memoised per index pair and
-shared by every cell and order, and have int coefficients.  ``crm_direct``
-enumerates the flat composition sum instead.  Both leave out the letter
-weights 2^(n/2).  ``integrate_bridge`` replaces every formal letter multiset
-by its exact bridge moment times the multiset's weight 2^(degree/2), which
-is rational because only multisets of even letter degree have a nonzero
-moment (asserted).  ``integrated_cell`` integrates the Bell blocks of a cell
-(``_cell_blocks``) without expanding them into terms: the sum runs in ints
-over one denominator, and both integrations share that core.  ``a2M``
-combines three (r, m) cells, each an ``integrated_cell``, into the
-coefficient of tau^(2M-4) in the heat trace, pointwise in t.  ``crm_bell``
-(the same blocks expanded into terms) and ``crm_direct`` never feed ``a2M``:
-through ``integrate_bridge`` they are the oracles the tests hold it to.
+with u_0 = B and v_0 = A'.  Its Bell pieces are read straight off the int
+templates of ``bell.bell_template``, memoised per index pair and shared by
+every cell and order.  ``crm_direct`` enumerates the flat composition sum
+instead.  Both leave out the letter weights 2^(n/2).  ``integrate_bridge``
+replaces every formal letter multiset by its exact bridge moment times the
+multiset's weight 2^(degree/2), which is rational because only multisets of
+even letter degree have a nonzero moment (asserted).  ``integrated_cell``
+integrates the Bell blocks of a cell (``_cell_blocks``) without expanding
+them into terms: the sum runs in ints over one denominator, and both
+integrations share that core.  ``a2M`` puts the blocks of its three (r, m)
+cells through the same core in one pass, giving the coefficient of
+tau^(2M-4) in the heat trace, pointwise in t.  ``crm_bell`` (the same blocks
+expanded into terms) and ``crm_direct`` never feed ``a2M``: through
+``integrate_bridge`` they are the oracles the tests hold it to.
 
 Assembly is pure and exact: the sums are over ints or Fractions, and the term
 lists come in canonical key order, so output is bit-identical however the
@@ -167,12 +168,13 @@ def crm_direct(r: Fraction | int, m: int, M: int) -> list[MomentTerm]:
 # ----------------------------------------------------------------------
 
 class _UVTerms(SparsePoly):
-    """Bell-evaluation carrier over the u/v sequences.
+    """Terms over the u/v sequences: the Bell pieces and pairs.
 
     Keys are (monomial, letters) with letters a sorted tuple.  Its
-    coefficients are ints, since the letters and the Bell templates are.  A
-    letter carries no 2^(i/2) weight: the bridge integration applies
-    2^(degree/2) once per letter multiset.
+    coefficients are ints, since the Bell templates are.  A letter carries
+    no 2^(i/2) weight: the bridge integration applies 2^(degree/2) once per
+    letter multiset.  Its ring operations and letters are the tests' oracle
+    for the pieces, which are built without them.
     """
 
     __slots__ = ()
@@ -195,42 +197,59 @@ class _UVTerms(SparsePoly):
 def _bell_piece(n: int, k: int, v_side: bool) -> _UVTerms:
     """B_{n,k} over the v-letters when ``v_side``, else over the u-letters.
 
-    The piece depends on (n, k) only, not on the width of the cell it sits
-    in, so one evaluation serves every cell of every order.
+    Read straight off ``bell.bell_template(n, k)``: an entry (c, lambda) is
+    the term c prod_i x_i^lambda_i, with monomial prod B^(i)^lambda_i (u
+    side) or prod A^(i+1)^lambda_i (v side) and letters i repeated lambda_i
+    times, already in order.  The piece depends on (n, k) only, not on the
+    width of the cell it sits in, so one evaluation serves every cell of
+    every order.
     """
-    letter = _UVTerms.v_letter if v_side else _UVTerms.u_letter
-    args = [letter(i) for i in range(1, n - k + 2)]
-    return bell.bell_polynomial(n, k, args, one=_UVTerms.one())
+    terms = {}
+    for coeff, lam in bell.bell_template(n, k):
+        parts = [(i, m) for i, m in enumerate(lam, start=1) if m]
+        if v_side:
+            mono = DerivMonomial(0, [(i + 1, m) for i, m in parts], ())
+        else:
+            mono = DerivMonomial(0, (), parts)
+        terms[(mono, tuple(i for i, m in parts for _ in range(m)))] = coeff
+    return _UVTerms._wrap(terms)
 
 
 @lru_cache(maxsize=None)
 def _bell_pair(width: int, k: int, p: int) -> _UVTerms:
     """sum over beta of binom(width, beta) B_{beta,k}(u) B_{width-beta,p}(v).
 
-    It depends on no cell parameter (r, m, n), so all three cells of an
-    ``a2M`` and all orders draw on one table.
+    A u-term holds only B-derivatives and a v-term only A-derivatives, so a
+    product's monomial is DerivMonomial(0, a_v, b_u) with no exponents to
+    merge.  Its B-derivatives fix lambda_u, hence beta, and its
+    A-derivatives lambda_v, so every (beta, lambda_u, lambda_v) writes a key
+    of its own.  The pair depends on no cell parameter (r, m, n), so all
+    three cells of an ``a2M`` and all orders draw on one table.
     """
     out: dict = {}
-    mono_mul = _UVTerms._mono_mul
     for beta in range(0, width + 1):
-        if not (bell.bell_template(beta, k) and bell.bell_template(width - beta, p)):
-            continue  # an empty template is a zero piece
+        u_terms = _bell_piece(beta, k, False).terms
+        v_terms = _bell_piece(width - beta, p, True).terms
+        if not (u_terms and v_terms):
+            continue
         weight = math.comb(width, beta)
-        v_terms = _bell_piece(width - beta, p, True).terms.items()
-        for m1, c1 in _bell_piece(beta, k, False).terms.items():
-            for m2, c2 in v_terms:
-                _acc(out, mono_mul(m1, m2), weight * c1 * c2)
+        for (u_mono, u_letters), c_u in u_terms.items():
+            b_u, c_u = u_mono[2], weight * c_u
+            for (v_mono, v_letters), c_v in v_terms.items():
+                # both exponent tuples are normalised: build, do not re-validate
+                mono = tuple.__new__(DerivMonomial, (0, v_mono[1], b_u))
+                out[(mono, tuple(sorted(u_letters + v_letters)))] = c_u * c_v
     return _UVTerms._wrap(out)
 
 
 def _cell_blocks(r: Fraction | int, m: int, order: int):
-    """The Bell blocks of C^(r,m)_{order}: (prefactor, base monomial, Bell pair).
+    """The Bell blocks of C^(r,m)_{order}: (num, den, base monomial, Bell pair).
 
     One block per (n, k, p) with a nonzero prefactor and pair: the prefactor
-    binom(r-n,k) binom(2n+m,p) k! p! / (4^n n! (2M-2n)!), the base
-    u_0^(r-n-k) v_0^(2n+m-p) as a ``DerivMonomial`` and the terms
-    {(monomial, letters): int} of the memoised ``_bell_pair(2M-2n, k, p)``.
-    The prefactor is built from ints: binom(r-n,k) k! is the falling
+    num/den = binom(r-n,k) binom(2n+m,p) k! p! / (4^n n! (2M-2n)!) as two
+    ints, not reduced, the base u_0^(r-n-k) v_0^(2n+m-p) as a
+    ``DerivMonomial`` and the terms {(monomial, letters): int} of the
+    memoised ``_bell_pair(2M-2n, k, p)``.  binom(r-n,k) k! is the falling
     factorial prod_j (2r-2n-2j) / 2^k and binom(2n+m,p) p! an integer one.
     """
     if order % 2 != 0 or order < 0:
@@ -254,9 +273,10 @@ def _cell_blocks(r: Fraction | int, m: int, order: int):
                 pair = _bell_pair(width, k, p)
                 if pair.is_zero():
                     continue
-                prefactor = Fraction(fall_u * fall_v, 2**k * den_n)
-                base = DerivMonomial(two_r - 2 * n - 2 * k, ((1, top_v - p),), ())
-                yield prefactor, base, pair.terms
+                # a normalised exponent tuple holds no zero: build, do not re-validate
+                v_0 = ((1, top_v - p),) if top_v > p else ()
+                base = tuple.__new__(DerivMonomial, (two_r - 2 * n - 2 * k, v_0, ()))
+                yield fall_u * fall_v, 2**k * den_n, base, pair.terms
 
 
 def crm_bell(r: Fraction | int, m: int, order: int) -> list[MomentTerm]:
@@ -273,9 +293,9 @@ def crm_bell(r: Fraction | int, m: int, order: int) -> list[MomentTerm]:
     its piece; its letter weight 2^((2M-2n)/2) is left to ``integrate_bridge``.
     """
     total: dict = {}
-    for prefactor, base, pair_terms in _cell_blocks(r, m, order):
+    for num, den, base, pair_terms in _cell_blocks(r, m, order):
         for (mono, letters), c in pair_terms.items():
-            _acc(total, (base * mono, letters), c * prefactor)
+            _acc(total, (base * mono, letters), Fraction(c * num, den))
     return [
         MomentTerm(c, mono, letters)
         for (mono, letters), c in sorted(
@@ -306,8 +326,8 @@ def _weighted_moment(letters: tuple[int, ...]) -> Fraction:
 
 
 def _integrate_blocks(blocks: list) -> SymPoly:
-    """Sum of prefactor * base * sum c * mono * weighted_moment(letters) over
-    ``blocks`` = [(prefactor, base, {(mono, letters): int c})], in int arithmetic.
+    """Sum of num/den * base * sum c * mono * weighted_moment(letters) over
+    ``blocks`` = [(num, den, base, {(mono, letters): int c})], in int arithmetic.
 
     Each distinct letter multiset's weighted moment is computed once.  The
     prefactors are scaled to their lcm denominator D1 and the moments to
@@ -315,16 +335,16 @@ def _integrate_blocks(blocks: list) -> SymPoly:
     coefficient is one ``Fraction(num, D1 * D2)``.
     """
     moments: dict = {}
-    for _, _, terms in blocks:
+    for _, _, _, terms in blocks:
         for _, letters in terms:
             if letters not in moments:
                 moments[letters] = _weighted_moment(letters)
-    d1 = math.lcm(*(prefactor.denominator for prefactor, _, _ in blocks))
+    d1 = math.lcm(*(den for _, den, _, _ in blocks))
     d2 = math.lcm(*(w.denominator for w in moments.values()))
     scaled = {letters: w.numerator * (d2 // w.denominator) for letters, w in moments.items()}
     acc: dict[DerivMonomial, int] = {}
-    for prefactor, base, terms in blocks:
-        num = prefactor.numerator * (d1 // prefactor.denominator)
+    for num, den, base, terms in blocks:
+        num *= d1 // den
         for (mono, letters), c in terms.items():
             w = scaled[letters]
             if w:
@@ -344,9 +364,12 @@ def integrate_bridge(terms: Iterable[MomentTerm]) -> SymPoly:
     raises ConsistencyError.  The sum runs in the integer core of
     ``integrated_cell``, one block per term.
     """
-    return _integrate_blocks(
-        [(Fraction(t.scalar), _MONOMIAL_ONE, {(t.sym, t.letters): 1}) for t in terms]
-    )
+    blocks = []
+    for t in terms:
+        scalar = Fraction(t.scalar)
+        blocks.append((scalar.numerator, scalar.denominator, _MONOMIAL_ONE,
+                       {(t.sym, t.letters): 1}))
+    return _integrate_blocks(blocks)
 
 
 R_MAIN = Fraction(-3, 2)
@@ -356,11 +379,13 @@ R_MINUS = Fraction(-1, 2)
 
 @lru_cache(maxsize=None)
 def integrated_cell(r: Fraction | int, m: int, order: int) -> SymPoly:
-    """C^(r,m)_{order} integrated against the bridge.
+    """C^(r,m)_{order} integrated against the bridge, for a caller that
+    weights the cells apart (``pscc.nonround_zeta_coefficients``).
 
     The Bell blocks of ``crm_bell`` are integrated directly, in int
     arithmetic over one denominator, without expanding them into terms;
-    ``integrate_bridge(crm_bell(...))`` is the same polynomial.
+    ``integrate_bridge(crm_bell(...))`` is the same polynomial, and ``a2M``
+    runs the same core over three cells at once.
     """
     return _integrate_blocks(list(_cell_blocks(r, m, order)))
 
@@ -371,18 +396,22 @@ def a2M(M: int) -> SymPoly:
 
     a_0 = B^(-3/2)/2; for M >= 1 the combination
     1/2 C_{2M}^(-3/2,0) + 1/4 (C_{2M-2}^(-5/2,2) - C_{2M-2}^(-1/2,0))
-    integrated against the bridge measure.  The cells come from the Bell
-    route (``integrated_cell``); ``crm_direct`` is the independent oracle
-    the tests compare it with.
+    integrated against the bridge measure.  The Bell blocks of the three
+    cells, their prefactors scaled by 1/2, 1/4 and -1/4, are integrated in
+    one pass of ``integrated_cell``'s int core, so each output coefficient
+    is one Fraction.  ``crm_direct`` is the independent oracle the tests
+    compare it with.
     """
     if M < 0:
         raise ValueError("M must be non-negative")
-    main = integrated_cell(R_MAIN, 0, 2 * M).scale(Fraction(1, 2))
-    if M == 0:
-        return main
-    plus = integrated_cell(R_PLUS, 2, 2 * M - 2)
-    minus = integrated_cell(R_MINUS, 0, 2 * M - 2)
-    return main + (plus - minus).scale(Fraction(1, 4))
+    cells = [(1, 2, R_MAIN, 0, 2 * M)]  # (sign, denominator) of the cell's weight
+    if M:
+        cells += [(1, 4, R_PLUS, 2, 2 * M - 2), (-1, 4, R_MINUS, 0, 2 * M - 2)]
+    return _integrate_blocks([
+        (sign * num, weight_den * den, base, terms)
+        for sign, weight_den, r, m, order in cells
+        for num, den, base, terms in _cell_blocks(r, m, order)
+    ])
 
 
 def _clear_caches() -> None:

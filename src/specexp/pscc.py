@@ -185,6 +185,12 @@ def _coeff_mul(a, b):
     return out.real if isinstance(out, complex) and out.imag == 0 else out
 
 
+def _point_strip(s: complex):
+    """The strip of half-width ``_COLLISION_TOL`` around s."""
+    return ((s.real - _COLLISION_TOL, s.real + _COLLISION_TOL),
+            (s.imag - _COLLISION_TOL, s.imag + _COLLISION_TOL))
+
+
 def _singular_rows(string: FractalString, F: MellinFunction, strip):
     """Singular expansion of the Mellin transform zeta_string(s) F(s).
 
@@ -194,12 +200,18 @@ def _singular_rows(string: FractalString, F: MellinFunction, strip):
     conjugate pair.  An exact nonzero F(sigma) takes the pole's exact
     residue where it has one; an exact zero token from F is the row as it
     stands.  A string pole on a pole of F raises CollisionError naming that
-    pole; so does a pole of F missing from its table, met as F's
-    ZeroDivisionError.
+    pole: in the strip, and on a pole with a residue wherever it lies, since
+    that pole's bulk row needs zeta_string there.  So does a pole of F
+    missing from its table, met as F's ZeroDivisionError.
     """
     poles = [(complex(p.sigma), p) for p in string_poles(string, strip)]
     names = F.names or [f"the transform pole at {q.sigma}" for q in F.poles]
-    for sigma, _ in poles:
+    at_bulk = [
+        complex(p.sigma)
+        for q in F.poles if q.residue is not None
+        for p in string.poles(_point_strip(complex(q.sigma)))
+    ]
+    for sigma in [sigma for sigma, _ in poles] + at_bulk:
         for q, name in zip(F.poles, names):
             if abs(sigma - q.sigma) < _COLLISION_TOL:
                 raise CollisionError(f"string pole at {_plain(sigma)} collides with {name}")

@@ -69,6 +69,33 @@ class TestValues:
                                       for i, m in enumerate(lam, start=1))
                     assert coeff * denom == math.factorial(n), (n, k, lam)
 
+    def test_templates_match_an_unpruned_enumeration(self):
+        # every partition of n, kept when it has k parts, in the template's
+        # order (multiplicity tuples descending); coefficients sum to S(n, k)
+        def partitions(n, largest):
+            if n == 0:
+                yield ()
+            for part in range(min(n, largest), 0, -1):
+                for rest in partitions(n - part, part):
+                    yield (part,) + rest
+
+        stirling = {(0, 0): 1}
+        for n in range(1, 17):
+            for k in range(n + 1):
+                stirling[n, k] = k * stirling.get((n - 1, k), 0) + stirling.get((n - 1, k - 1), 0)
+            for k in range(n + 1):
+                want = []
+                for parts in partitions(n, n):
+                    if len(parts) != k:
+                        continue
+                    lam = tuple(parts.count(i) for i in range(1, n - k + 2))
+                    denom = math.prod(math.factorial(m) * math.factorial(i) ** m
+                                      for i, m in enumerate(lam, start=1))
+                    want.append((math.factorial(n) // denom, lam))
+                want.sort(key=lambda entry: entry[1], reverse=True)
+                assert bell.bell_template(n, k) == tuple(want), (n, k)
+                assert sum(c for c, _ in bell.bell_template(n, k)) == stirling[n, k], (n, k)
+
     def test_row_sums_are_bell_numbers(self):
         for n in range(0, 11):
             assert bell.bell_number(n) == brute_partition_count(n)

@@ -159,6 +159,23 @@ class TestPscc:
         )
         assert code == cli.EXIT_VALIDATION and "collides" in err
 
+    @pytest.mark.parametrize("geometry", ["s4", "rw"])
+    @pytest.mark.parametrize("mode", ["heat", "action"])
+    def test_collision_message_does_not_depend_on_the_strip(self, capsys, geometry, mode):
+        # the CLI expands over the default strip, which reaches the Ford pole
+        # at -2; a strip above it gives the library the same collision
+        from specexp import expansion, pscc
+
+        geo = pscc.S4Geometry() if geometry == "s4" else pscc.RWGeometry(
+            expansion.scale_factor("inflation", 1.0), 1.0)
+        with pytest.raises(pscc.CollisionError) as info:
+            pscc.round_heat_expansion(zeta.FordString(), 3, geo, ((0.0, 4.5), (-46.0, 46.0)))
+        code, out, err = run(capsys, "pscc", "--string", "ford", "--geometry", geometry,
+                             "--mode", mode, "--maxM", "3")
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert err == f"error: {info.value}\n"
+        assert "string pole at -2.0 collides with the bulk exponent 4-2M for M=3" in err
+
     def test_bad_string(self, capsys):
         code, _, err = run(capsys, "pscc", "--string", "nope")
         assert code == cli.EXIT_VALIDATION

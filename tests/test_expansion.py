@@ -136,6 +136,29 @@ class TestIntegerRoute:
     def test_integrated_cell_matches_both_routes_high(self, M):
         self._check_cells(M)
 
+    @pytest.mark.parametrize("v_side", [False, True], ids=["u", "v"])
+    def test_bell_pieces_match_the_generic_evaluator(self, v_side):
+        # read off the template, equal to B_{n,k} over the letter carrier
+        letter = ex._UVTerms.v_letter if v_side else ex._UVTerms.u_letter
+        for n in range(13):
+            args = [letter(i) for i in range(1, n + 2)]
+            for k in range(n + 1):
+                want = bell.bell_polynomial(n, k, args, one=ex._UVTerms.one())
+                got = ex._bell_piece(n, k, v_side)
+                assert got == want and got.terms == want.terms, (n, k)
+
+    def test_bell_pairs_match_carrier_products(self):
+        # written key by key, equal to the accumulated carrier sum
+        for width in range(0, 11, 2):
+            for k in range(width + 1):
+                for p in range(width - k + 1):
+                    want = ex._UVTerms.zero()
+                    for beta in range(width + 1):
+                        want = want + (ex._bell_piece(beta, k, False)
+                                       * ex._bell_piece(width - beta, p, True)
+                                       ).scale(math.comb(width, beta))
+                    assert ex._bell_pair(width, k, p) == want, (width, k, p)
+
     def test_bell_pairs_are_integer(self):
         for width in range(0, 9, 2):
             for k in range(width + 1):
@@ -158,6 +181,33 @@ class TestIntegerRoute:
             ex.integrated_cell.__wrapped__(R_MAIN, 0, 4)
         monkeypatch.setattr(ex.bridge, "moment_product", lambda spec: Fraction(0))
         assert ex.integrated_cell.__wrapped__(R_MAIN, 0, 4).is_zero()
+
+
+class TestOnePassA2M:
+    @staticmethod
+    def _check(M):
+        # the three cells combined one by one as SymPolys
+        want = ex.integrated_cell(R_MAIN, 0, 2 * M).scale(Fraction(1, 2))
+        if M:
+            plus = ex.integrated_cell(R_PLUS, 2, 2 * M - 2)
+            minus = ex.integrated_cell(R_MINUS, 0, 2 * M - 2)
+            want = want + (plus - minus).scale(Fraction(1, 4))
+        got = ex.a2M(M)
+        assert got == want and hash(got) == hash(want), M
+
+    @pytest.mark.parametrize("M", range(7))
+    def test_a2M_equals_the_cell_combination(self, M):
+        self._check(M)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("M", [7, 8])
+    def test_a2M_equals_the_cell_combination_high(self, M):
+        self._check(M)
+
+    def test_a2M_builds_no_cell(self):
+        ex._clear_caches()
+        ex.a2M(6)
+        assert ex.integrated_cell.cache_info().currsize == 0
 
 
 class TestIntegrateBridge:

@@ -101,6 +101,23 @@ class TestRoundHeatExpansion:
         with pytest.raises(pscc.CollisionError):
             pscc.round_heat_expansion(zt.FordString(), 3, pscc.S4Geometry())
 
+    # the default strip for M = 3 reaches the Ford pole at -2; this one does not
+    ABOVE_THE_POLE = ((0.0, 4.5), (-46.0, 46.0))
+    M3_COLLISION = "string pole at -2.0 collides with the bulk exponent 4-2M for M=3"
+
+    @pytest.mark.parametrize("strip", [None, ABOVE_THE_POLE], ids=["default", "above"])
+    @pytest.mark.parametrize("geometry", [pscc.S4Geometry(), RW_MATTER], ids=["s4", "rw"])
+    def test_collision_at_a_bulk_exponent_whatever_the_strip(self, geometry, strip):
+        # the M = 3 bulk row needs the Ford zeta at its pole -2, in the strip or not
+        g = pscc.gaussian_test_function()
+        for expand in (
+            lambda: pscc.round_heat_expansion(zt.FordString(), 3, geometry, strip),
+            lambda: pscc.spectral_action(zt.FordString(), g, 10.0, 3, geometry, strip),
+        ):
+            with pytest.raises(pscc.CollisionError) as info:
+                expand()
+            assert str(info.value) == self.M3_COLLISION
+
     @pytest.mark.parametrize("geometry", [pscc.S4Geometry(), RW_MATTER], ids=["s4", "rw"])
     def test_conjugate_pole_rows_pair_exactly(self, geometry):
         strip = ((0.0, 0.5), (-46.0, 46.0))

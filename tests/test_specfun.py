@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -66,16 +67,34 @@ class TestDawson:
                 want = float((1 + r / 2 + 3 * r**2 / 4 + 15 * r**3 / 8) / (2 * mp.mpf(x)))
             assert abs(sf.dawson(x) - want) <= math.ulp(want), x
 
+    @staticmethod
+    def _erfi_40(x):
+        with mp.workdps(40):
+            return float(mp.sqrt(mp.pi) / 2 * mp.exp(-mp.mpf(x) ** 2) * mp.erfi(x))
+
+    def test_asymptotic_branch_against_40_digits(self, monkeypatch):
+        # past 2^28 F is 1/(2x), with no slow 1F1 call: within 1 ulp of a
+        # 40-digit erfi evaluation up to the largest double (subnormal F)
+        rng = np.random.default_rng(28)
+        xs = [float(x) for x in np.exp(rng.uniform(math.log(2.0**28), math.log(1e300), 12))]
+        xs += [math.nextafter(2.0**28, math.inf), 1e300, sys.float_info.max]
+        wants = [self._erfi_40(x) for x in xs]
+        monkeypatch.setattr(sf.mp, "hyp1f1", None)
+        for x, want in zip(xs, wants):
+            assert abs(sf.dawson(x) - want) <= math.ulp(want), x
+            assert sf.dawson(-x) == -sf.dawson(x), x
+
     @pytest.mark.parametrize("last, first", [(1.0, math.nextafter(1.0, 2.0)),
-                                             (math.nextafter(25.0, 0.0), 25.0)])
+                                             (math.nextafter(25.0, 0.0), 25.0),
+                                             (2.0**28, math.nextafter(2.0**28, math.inf))])
     def test_branch_boundaries(self, last, first):
         # three doubles on each side of a branch switch, against a 40-digit
         # oracle; |F'| <= 1 there, so the two neighbours differ by a few ulp
+        up = math.inf
         xs = [last, math.nextafter(last, 0.0), math.nextafter(math.nextafter(last, 0.0), 0.0),
-              first, math.nextafter(first, 30.0), math.nextafter(math.nextafter(first, 30.0), 30.0)]
+              first, math.nextafter(first, up), math.nextafter(math.nextafter(first, up), up)]
         for x in xs:
-            with mp.workdps(40):
-                want = float(mp.sqrt(mp.pi) / 2 * mp.exp(-mp.mpf(x) ** 2) * mp.erfi(x))
+            want = self._erfi_40(x)
             assert abs(sf.dawson(x) - want) <= 8 * math.ulp(want), x
         assert abs(sf.dawson(first) - sf.dawson(last)) <= 8 * math.ulp(sf.dawson(first))
 
