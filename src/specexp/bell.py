@@ -2,9 +2,9 @@
 
 The evaluators are carrier-generic: they work over any commutative ring whose
 elements support ``+``, ``*`` with each other and ``*`` with ``int``.
-Plain ints/floats/complex work, as do the ``SparsePoly`` carriers: SymPoly,
-AFormPoly and the u/v letter sums of the expansion assembly
-(``expansion._UVTerms``).
+Plain ints/floats/complex work, as do the ``SparsePoly`` carriers (SymPoly,
+AFormPoly, VPoly); over ``SymPoly.b_deriv`` and ``SymPoly.a_deriv`` they are
+the tests' oracle for the expansion's Bell pieces.
 
 The templates for fixed (n, k) hold exact ``int`` coefficients, so an
 evaluation over an integer carrier never leaves int arithmetic; the

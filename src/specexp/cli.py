@@ -193,10 +193,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     factor = expansion.scale_factor(args.family, H=args.H)
     if args.max_m > args.max_order:
         raise ValidationError("maxM above the complexity guard; raise --max-order")
-    try:
-        rows = expansion.heat_trace_series(args.max_m, factor, args.t)
-    except ZeroDivisionError as exc:
-        raise ValidationError(f"evaluation singularity: {exc}") from exc
+    rows = expansion.heat_trace_series(args.max_m, factor, args.t)
     if args.fmt == "csv":
         print("exponent,re,im,kind")
         for p, v in rows:
@@ -530,9 +527,11 @@ def main(argv=None) -> int:
             if not math.isfinite(value):
                 raise ValidationError(f"--{flag} must be finite, got {value!r}")
         return _DISPATCH[args.command](args)
-    except (ValidationError, ValueError, symcore.FloatRangeError) as exc:
-        # ValueError covers PoleError and CollisionError
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, ValueError, symcore.FloatRangeError, ZeroDivisionError) as exc:
+        # ValueError covers PoleError and CollisionError; a ZeroDivisionError
+        # is a singular evaluation point, such as a(t) = 0
+        singular = "evaluation singularity: " if isinstance(exc, ZeroDivisionError) else ""
+        print(f"error: {singular}{exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

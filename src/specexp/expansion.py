@@ -6,18 +6,21 @@ through partial Bell polynomials over the u- and v-sequences
     u_n = B^(n)(t) 2^(n/2) x_n(alpha),     v_n = A^(n+1)(t) 2^(n/2) x_n(alpha),
 
 with u_0 = B and v_0 = A'.  Its Bell pieces are read straight off the int
-templates of ``bell.bell_template``, memoised per index pair and shared by
-every cell and order.  ``crm_direct`` enumerates the flat composition sum
-instead.  Both leave out the letter weights 2^(n/2).  ``integrate_bridge``
-replaces every formal letter multiset by its exact bridge moment times the
-multiset's weight 2^(degree/2), which is rational because only multisets of
-even letter degree have a nonzero moment (asserted).  ``integrated_cell``
-integrates the Bell blocks of a cell (``_cell_blocks``) without expanding
-them into terms: the sum runs in ints over one denominator, and both
-integrations share that core.  ``a2M`` puts the blocks of its three (r, m)
-cells through the same core in one pass, giving the coefficient of
-tau^(2M-4) in the heat trace, pointwise in t.  ``crm_bell`` (the same blocks
-expanded into terms) and ``crm_direct`` never feed ``a2M``: through
+templates of ``bell.bell_template`` into read-only dicts {(monomial,
+letters): int}, memoised per index pair and shared by every cell and order.
+``crm_direct`` enumerates the flat composition sum instead.  Both leave out
+the letter weights 2^(n/2).  ``integrate_bridge`` replaces every formal
+letter multiset by its exact bridge moment times the multiset's weight
+2^(degree/2), which is rational because only multisets of even letter degree
+have a nonzero moment (asserted).  ``integrated_cell`` integrates the Bell
+blocks of a cell (``_cell_blocks``) without expanding them into terms: the
+sum runs in ints over one denominator, and both integrations share that
+core.  ``CELLS`` is the one table of the cells of a_2M, their weights and
+order shifts; ``a2M`` puts the blocks of its cells through the same core in
+one pass, giving the coefficient of tau^(2M-4) in the heat trace, pointwise
+in t, and ``pscc.nonround_zeta_coefficients`` weights the same cells apart.
+``heat_trace_series`` evaluates a_2M at a time t.  ``crm_bell`` (the same
+blocks expanded into terms) and ``crm_direct`` never feed ``a2M``: through
 ``integrate_bridge`` they are the oracles the tests hold it to.
 
 Assembly is pure and exact: the sums are over ints or Fractions, and the term
@@ -33,12 +36,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, Iterable, Sequence
 
 from . import bell, bridge, symcore
 from .symcore import (
     DerivMonomial,
-    SparsePoly,
     SymPoly,
     _MONOMIAL_ONE,
     _acc,
@@ -53,6 +56,7 @@ __all__ = [
     "integrate_bridge",
     "integrated_cell",
     "a2M",
+    "CELLS",
     "heat_trace_series",
     "ScaleFactor",
     "scale_factor",
@@ -167,42 +171,18 @@ def crm_direct(r: Fraction | int, m: int, M: int) -> list[MomentTerm]:
 # Bell-polynomial route
 # ----------------------------------------------------------------------
 
-class _UVTerms(SparsePoly):
-    """Terms over the u/v sequences: the Bell pieces and pairs.
-
-    Keys are (monomial, letters) with letters a sorted tuple.  Its
-    coefficients are ints, since the Bell templates are.  A letter carries
-    no 2^(i/2) weight: the bridge integration applies 2^(degree/2) once per
-    letter multiset.  Its ring operations and letters are the tests' oracle
-    for the pieces, which are built without them.
-    """
-
-    __slots__ = ()
-    _ONE_KEY = (DerivMonomial(0), ())
-
-    @staticmethod
-    def _mono_mul(k1, k2):
-        return (k1[0] * k2[0], tuple(sorted(k1[1] + k2[1])))
-
-    @staticmethod
-    def u_letter(i: int) -> "_UVTerms":
-        return _UVTerms({(DerivMonomial(0, (), ((i, 1),)), (i,)): 1})
-
-    @staticmethod
-    def v_letter(i: int) -> "_UVTerms":
-        return _UVTerms({(DerivMonomial(0, ((i + 1, 1),), ()), (i,)): 1})
-
-
 @lru_cache(maxsize=None)
-def _bell_piece(n: int, k: int, v_side: bool) -> _UVTerms:
-    """B_{n,k} over the v-letters when ``v_side``, else over the u-letters.
+def _bell_piece(n: int, k: int, v_side: bool) -> MappingProxyType:
+    """B_{n,k} over the v-letters when ``v_side``, else over the u-letters,
+    as a read-only view of the memoised dict {(monomial, letters): int}.
 
     Read straight off ``bell.bell_template(n, k)``: an entry (c, lambda) is
     the term c prod_i x_i^lambda_i, with monomial prod B^(i)^lambda_i (u
     side) or prod A^(i+1)^lambda_i (v side) and letters i repeated lambda_i
-    times, already in order.  The piece depends on (n, k) only, not on the
-    width of the cell it sits in, so one evaluation serves every cell of
-    every order.
+    times, already in order.  A letter carries no 2^(i/2) weight: the bridge
+    integration applies 2^(degree/2) once per letter multiset.  The piece
+    depends on (n, k) only, not on the width of the cell it sits in, so one
+    evaluation serves every cell of every order.
     """
     terms = {}
     for coeff, lam in bell.bell_template(n, k):
@@ -212,12 +192,13 @@ def _bell_piece(n: int, k: int, v_side: bool) -> _UVTerms:
         else:
             mono = DerivMonomial(0, (), parts)
         terms[(mono, tuple(i for i, m in parts for _ in range(m)))] = coeff
-    return _UVTerms._wrap(terms)
+    return MappingProxyType(terms)
 
 
 @lru_cache(maxsize=None)
-def _bell_pair(width: int, k: int, p: int) -> _UVTerms:
-    """sum over beta of binom(width, beta) B_{beta,k}(u) B_{width-beta,p}(v).
+def _bell_pair(width: int, k: int, p: int) -> MappingProxyType:
+    """sum over beta of binom(width, beta) B_{beta,k}(u) B_{width-beta,p}(v),
+    as a read-only view of the memoised dict {(monomial, letters): int}.
 
     A u-term holds only B-derivatives and a v-term only A-derivatives, so a
     product's monomial is DerivMonomial(0, a_v, b_u) with no exponents to
@@ -228,8 +209,8 @@ def _bell_pair(width: int, k: int, p: int) -> _UVTerms:
     """
     out: dict = {}
     for beta in range(0, width + 1):
-        u_terms = _bell_piece(beta, k, False).terms
-        v_terms = _bell_piece(width - beta, p, True).terms
+        u_terms = _bell_piece(beta, k, False)
+        v_terms = _bell_piece(width - beta, p, True)
         if not (u_terms and v_terms):
             continue
         weight = math.comb(width, beta)
@@ -239,7 +220,7 @@ def _bell_pair(width: int, k: int, p: int) -> _UVTerms:
                 # both exponent tuples are normalised: build, do not re-validate
                 mono = tuple.__new__(DerivMonomial, (0, v_mono[1], b_u))
                 out[(mono, tuple(sorted(u_letters + v_letters)))] = c_u * c_v
-    return _UVTerms._wrap(out)
+    return MappingProxyType(out)
 
 
 def _cell_blocks(r: Fraction | int, m: int, order: int):
@@ -271,12 +252,12 @@ def _cell_blocks(r: Fraction | int, m: int, order: int):
                 if p:
                     fall_v *= top_v - p + 1
                 pair = _bell_pair(width, k, p)
-                if pair.is_zero():
+                if not pair:
                     continue
                 # a normalised exponent tuple holds no zero: build, do not re-validate
                 v_0 = ((1, top_v - p),) if top_v > p else ()
                 base = tuple.__new__(DerivMonomial, (two_r - 2 * n - 2 * k, v_0, ()))
-                yield fall_u * fall_v, 2**k * den_n, base, pair.terms
+                yield fall_u * fall_v, 2**k * den_n, base, pair
 
 
 def crm_bell(r: Fraction | int, m: int, order: int) -> list[MomentTerm]:
@@ -376,6 +357,14 @@ R_MAIN = Fraction(-3, 2)
 R_PLUS = Fraction(-5, 2)
 R_MINUS = Fraction(-1, 2)
 
+# The cells of a_2M as (weight, r, m, shift): C^(r,m) enters a_2M at order
+# 2M - 2 shift, and under a spatial rescaling it scales as a^(-2r-m).
+CELLS = (
+    (Fraction(1, 2), R_MAIN, 0, 0),
+    (Fraction(1, 4), R_PLUS, 2, 1),
+    (Fraction(-1, 4), R_MINUS, 0, 1),
+)
+
 
 @lru_cache(maxsize=None)
 def integrated_cell(r: Fraction | int, m: int, order: int) -> SymPoly:
@@ -394,23 +383,20 @@ def integrated_cell(r: Fraction | int, m: int, order: int) -> SymPoly:
 def a2M(M: int) -> SymPoly:
     """Coefficient of tau^(2M-4) in the heat trace, pointwise in t.
 
-    a_0 = B^(-3/2)/2; for M >= 1 the combination
-    1/2 C_{2M}^(-3/2,0) + 1/4 (C_{2M-2}^(-5/2,2) - C_{2M-2}^(-1/2,0))
-    integrated against the bridge measure.  The Bell blocks of the three
-    cells, their prefactors scaled by 1/2, 1/4 and -1/4, are integrated in
-    one pass of ``integrated_cell``'s int core, so each output coefficient
-    is one Fraction.  ``crm_direct`` is the independent oracle the tests
-    compare it with.
+    The sum over ``CELLS`` of weight * C^(r,m)_{2M-2 shift} integrated
+    against the bridge measure: a_0 = B^(-3/2)/2, and for M >= 1
+    1/2 C_{2M}^(-3/2,0) + 1/4 C_{2M-2}^(-5/2,2) - 1/4 C_{2M-2}^(-1/2,0).
+    The Bell blocks of the cells, their prefactors scaled by the weights,
+    are integrated in one pass of ``integrated_cell``'s int core, so each
+    output coefficient is one Fraction.  ``crm_direct`` is the independent
+    oracle the tests compare it with.
     """
     if M < 0:
         raise ValueError("M must be non-negative")
-    cells = [(1, 2, R_MAIN, 0, 2 * M)]  # (sign, denominator) of the cell's weight
-    if M:
-        cells += [(1, 4, R_PLUS, 2, 2 * M - 2), (-1, 4, R_MINUS, 0, 2 * M - 2)]
     return _integrate_blocks([
-        (sign * num, weight_den * den, base, terms)
-        for sign, weight_den, r, m, order in cells
-        for num, den, base, terms in _cell_blocks(r, m, order)
+        (weight.numerator * num, weight.denominator * den, base, terms)
+        for weight, r, m, shift in CELLS if M >= shift
+        for num, den, base, terms in _cell_blocks(r, m, 2 * (M - shift))
     ])
 
 

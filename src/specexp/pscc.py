@@ -21,9 +21,11 @@ each geometry's ``heat_mellin``, weighted by f_s for the spectral action, the
 S^4-packing template's zeta_D/2, and ``gamma_mellin``.  The test function is
 one callable, ``moment(alpha)`` = f_alpha (``gaussian_test_function``).
 
-Non-round scaling (spatial sections only) produces zeta-regularized bulk
-weights at s = 3 and s = 1; its pole terms have no closed form and are out of
-scope, so ``nonround_zeta_coefficients`` emits the bulk series only.
+Non-round scaling (spatial sections only) weights each cell C^(r,m) of
+``expansion.CELLS`` by zeta_string at its scaling exponent -2r-m (s = 3 and
+s = 1); its pole terms have no closed form and are out of scope, so
+``nonround_zeta_coefficients`` emits the bulk series only.  The RW heat
+transform takes its residues a_2M(t) from ``expansion.heat_trace_series``.
 
 All assembly is pure; output ordering is deterministic (bulk by order, poles
 by real then imaginary part).
@@ -295,11 +297,7 @@ class RWGeometry:
         the asymptotic series), so the poles are the bulk exponents 4-2M for
         M <= max_m, with residues a_2M(t), and none lie past them.
         """
-        coeffs = [
-            (2 * M - 4, exp_mod.eval_numeric(
-                exp_mod.a2M(M), lambda i: self.factor.deriv(i, self.t)))
-            for M in range(max_m + 1)
-        ]
+        coeffs = exp_mod.heat_trace_series(max_m, self.factor, self.t)
         return MellinFunction(
             lambda s: sum((c / (s + p) for p, c in coeffs), 0j),
             tuple(PoleTerm(-p, c) for p, c in coeffs),
@@ -393,12 +391,13 @@ def spectral_action(
     f_(4-2M) zeta_string(4-2M) c_2M at exponent 4-2M, pole rows
     tilde-f(sigma) f_sigma Res_sigma at exponent sigma, with complex-conjugate
     pole pairs merged into the real form 2|c| Lambda^a cos(b ln Lambda + phase).
-    ``lam`` is only validated (it must be positive): the rows do not depend on
-    it, and a caller evaluates a row at a cutoff with ``term_value(row, lam)``.
-    ``moment(alpha)`` gives f_alpha, as ``gaussian_test_function()`` does.
+    ``lam`` is only validated (it must be positive and finite): the rows do
+    not depend on it, and a caller evaluates a row at a cutoff with
+    ``term_value(row, lam)``.  ``moment(alpha)`` gives f_alpha, as
+    ``gaussian_test_function()`` does.
     """
-    if lam <= 0:
-        raise ValueError("Lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"Lambda must be positive and finite, got {lam!r}")
     F, strip = _heat_transform(geometry, max_m, pole_strip)
     bulk, pole_rows = _singular_rows(string, _weighted(F, moment), strip)
     return [
@@ -517,40 +516,43 @@ def nonround_zeta_coefficients(
 ) -> list[ExpansionTerm]:
     """Bulk terms of the non-round-scaled expansion.
 
-    The series carries weights zeta_string(3) and zeta_string(1):
+    Each cell (weight, r, m, shift) of ``expansion.CELLS`` scales as
+    a^(-2r-m), so it carries the weight zeta_string(-2r-m): the series is
         1/4 (w3 C^(-5/2,2)_M - w1 C^(-1/2,0)_M) tau^(M-2)
-      + 1/2  w3 C^(-3/2,0)_M tau^(M-4).
-    Pole contributions have no closed form here and are not emitted.  Without
-    a geometry the rows carry the bare weights, labelled by their C-factor;
-    with one, the bridge-integrated C-values are folded in and rows sharing a
-    tau-power are merged.  A string with a pole at s = 1 (e.g. Ford) fails.
+      + 1/2  w3 C^(-3/2,0)_M tau^(M-4),
+    with w3 = zeta_string(3) and w1 = zeta_string(1).  Pole contributions
+    have no closed form here and are not emitted.  Without a geometry the
+    rows carry the bare weights, labelled (M, "C(r,m)") for the even cell
+    orders M <= max_m.  With one, the bridge-integrated cells are folded in
+    and the rows are the complete coefficients of tau^(2K-4) for the half
+    orders K <= max_m, as in ``expansion.heat_trace_series``.  A string with
+    a pole at s = 1 (e.g. Ford) fails.
     """
-    try:
-        w3 = string.zeta(3)
-        w1 = string.zeta(1)
-    except PoleError as exc:
-        raise PoleError(f"divergent zeta_string(1) for this packing: {exc}") from exc
+    zetas = {}
+    for s in dict.fromkeys(int(-2 * r - m) for _, r, m, _ in exp_mod.CELLS):
+        try:
+            zetas[s] = string.zeta(s)
+        except PoleError as exc:
+            raise PoleError(f"divergent zeta_string({s}) for this packing: {exc}") from exc
+    cells = [(_coeff_mul(zetas[int(-2 * r - m)], weight), r, m, shift)
+             for weight, r, m, shift in exp_mod.CELLS]
     if geometry is None:
-        weights = ((2, _coeff_mul(w3, Fraction(1, 4)), "C(-5/2,2)"),
-                   (2, _coeff_mul(w1, Fraction(-1, 4)), "C(-1/2,0)"),
-                   (4, _coeff_mul(w3, Fraction(1, 2)), "C(-3/2,0)"))
-        # odd orders integrate to zero against the bridge
-        return [ExpansionTerm(Fraction(M - shift), w, "bulk", (M, label))
-                for M in range(0, max_m + 1, 2) for shift, w, label in weights]
+        # odd orders integrate to zero against the bridge; within an order the
+        # shifted cells (tau^(M-2)) come before the main one (tau^(M-4))
+        return [ExpansionTerm(Fraction(M - 4 + 2 * shift), w, "bulk", (M, f"C({r},{m})"))
+                for M in range(0, max_m + 1, 2)
+                for w, r, m, shift in sorted(cells, key=lambda cell: -cell[3])]
     if isinstance(geometry, S4Geometry):
         raise ValueError("non-round scaling needs a pointwise RW geometry")
     derivs = lambda i: geometry.factor.deriv(i, geometry.t)  # noqa: E731
-    cell = exp_mod.integrated_cell
     rows = []
     for K in range(0, max_m + 1):
-        # complete coefficient of tau^(2K-4): the 1/2-weighted main branch at
-        # order 2K plus the 1/4-weighted pair at order 2K-2 (odd orders vanish)
-        main = exp_mod.eval_numeric(cell(exp_mod.R_MAIN, 0, 2 * K), derivs)
-        coeff = _coeff_mul(0.5 * w3, main)
-        if K >= 1:
-            c_plus = exp_mod.eval_numeric(cell(exp_mod.R_PLUS, 2, 2 * K - 2), derivs)
-            c_minus = exp_mod.eval_numeric(cell(exp_mod.R_MINUS, 0, 2 * K - 2), derivs)
-            coeff += _coeff_mul(0.25, w3 * c_plus - w1 * c_minus)
+        # complete coefficient of tau^(2K-4): each cell at order 2K - 2 shift
+        coeff = 0
+        for w, r, m, shift in cells:
+            if K >= shift:
+                cell = exp_mod.integrated_cell(r, m, 2 * (K - shift))
+                coeff += w * exp_mod.eval_numeric(cell, derivs)
         rows.append(ExpansionTerm(Fraction(2 * K - 4), coeff, "bulk", K))
     return rows
 

@@ -12,11 +12,10 @@ coefficients in Q, the only coefficient field of the package: the 2^(n/2)
 weights of the expansion letters are applied by ``expansion.integrated_cell``
 and ``expansion.integrate_bridge`` at even letter degree, where they are
 rational.  A coefficient is an ``int`` or a ``Fraction``, so integer-valued
-polynomials (the images of 1/a^p) stay in int arithmetic.  The other
-carriers are ``bridge.VPoly`` (simplex variables) and ``expansion._UVTerms``
-(the int Bell pieces of the assembly, read off the Bell templates; its ring
-operations serve the tests' oracle).  All are canonical, so structural
-equality is mathematical equality.
+polynomials (the images of 1/a^p) stay in int arithmetic.  The one other
+carrier is ``bridge.VPoly`` (the simplex variables of the oracle route); the
+expansion assembly keeps its int Bell pieces in read-only dicts.  All are
+canonical, so structural equality is mathematical equality.
 
 ``to_a_form`` substitutes A = 1/a, B = 1/a^2 by a multivariate Horner
 scheme over memoised images of A^(k) and B^(k), each the formal derivative

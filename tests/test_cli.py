@@ -134,6 +134,18 @@ class TestEval:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval"],
+    ["pscc", "--geometry", "rw"],
+    ["pscc", "--geometry", "rw", "--mode", "heat"],
+], ids=["eval", "pscc-action", "pscc-heat"])
+def test_singular_point_is_validation_error(capsys, argv):
+    # a(t) = sqrt(2 H t) has singular derivatives at t = 0
+    code, out, err = run(capsys, *argv, "--family", "radiation", "--t", "0")
+    assert code == cli.EXIT_VALIDATION and out == ""
+    assert err.startswith("error: evaluation singularity: ") and err.count("\n") == 1
+
+
 class TestPscc:
     def test_two_ball_no_pole_rows(self, capsys, tmp_path):
         path = tmp_path / "two-ball.json"

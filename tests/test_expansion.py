@@ -136,35 +136,52 @@ class TestIntegerRoute:
     def test_integrated_cell_matches_both_routes_high(self, M):
         self._check_cells(M)
 
+    @staticmethod
+    def _implied_letters(mono):
+        # a B-derivative B^(i) marks letter i, an A-derivative A^(i+1) letter i
+        return tuple(sorted([i for i, e in mono.b_exp for _ in range(e)]
+                            + [i - 1 for i, e in mono.a_exp for _ in range(e)]))
+
+    def _check_terms(self, terms, want):
+        # same monomial -> coefficient map, and each key's letters are the
+        # ones its monomial implies
+        assert {mono: c for (mono, _), c in terms.items()} == want.terms
+        for mono, letters in terms:
+            assert letters == self._implied_letters(mono), (mono, letters)
+
+    @staticmethod
+    def _oracle_piece(n, k, v_side):
+        # B_{n,k} by the generic evaluator over the SymPoly derivative symbols
+        letter = (lambda i: sc.SymPoly.a_deriv(i + 1)) if v_side else sc.SymPoly.b_deriv
+        args = [letter(i) for i in range(1, n + 2)]
+        return bell.bell_polynomial(n, k, args, one=sc.SymPoly.one())
+
     @pytest.mark.parametrize("v_side", [False, True], ids=["u", "v"])
     def test_bell_pieces_match_the_generic_evaluator(self, v_side):
-        # read off the template, equal to B_{n,k} over the letter carrier
-        letter = ex._UVTerms.v_letter if v_side else ex._UVTerms.u_letter
+        # read off the template, equal to B_{n,k} over the SymPoly letters
         for n in range(13):
-            args = [letter(i) for i in range(1, n + 2)]
             for k in range(n + 1):
-                want = bell.bell_polynomial(n, k, args, one=ex._UVTerms.one())
                 got = ex._bell_piece(n, k, v_side)
-                assert got == want and got.terms == want.terms, (n, k)
+                self._check_terms(got, self._oracle_piece(n, k, v_side))
 
     def test_bell_pairs_match_carrier_products(self):
-        # written key by key, equal to the accumulated carrier sum
+        # written key by key, equal to the accumulated SymPoly sum
         for width in range(0, 11, 2):
             for k in range(width + 1):
                 for p in range(width - k + 1):
-                    want = ex._UVTerms.zero()
+                    want = sc.SymPoly.zero()
                     for beta in range(width + 1):
-                        want = want + (ex._bell_piece(beta, k, False)
-                                       * ex._bell_piece(width - beta, p, True)
+                        want = want + (self._oracle_piece(beta, k, False)
+                                       * self._oracle_piece(width - beta, p, True)
                                        ).scale(math.comb(width, beta))
-                    assert ex._bell_pair(width, k, p) == want, (width, k, p)
+                    self._check_terms(ex._bell_pair(width, k, p), want)
 
     def test_bell_pairs_are_integer(self):
         for width in range(0, 9, 2):
             for k in range(width + 1):
                 for p in range(width - k + 1):
                     pair = ex._bell_pair(width, k, p)
-                    assert all(type(c) is int for c in pair.terms.values())
+                    assert all(type(c) is int for c in pair.values())
 
     def test_coefficients_are_exact_rationals(self):
         for M in range(7):
@@ -174,7 +191,7 @@ class TestIntegerRoute:
 
     def test_nonzero_odd_degree_moment_raises_in_the_cell(self, monkeypatch):
         # every Bell block has even letter degree; plant one of odd degree
-        bogus = ex._UVTerms({(sc.DerivMonomial(0, ((2, 1),), ((1, 1),)), (1, 2)): 1})
+        bogus = {(sc.DerivMonomial(0, ((2, 1),), ((1, 1),)), (1, 2)): 1}
         monkeypatch.setattr(ex, "_bell_pair", lambda width, k, p: bogus)
         monkeypatch.setattr(ex.bridge, "moment_product", lambda spec: Fraction(1))
         with pytest.raises(ex.ConsistencyError):

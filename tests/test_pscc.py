@@ -206,6 +206,12 @@ class TestSpectralAction:
             with pytest.raises(ValueError):
                 pscc.spectral_action(zt.FordString(), g, lam, 2, pscc.S4Geometry())
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_lambda_must_be_finite(self, lam):
+        g = pscc.gaussian_test_function()
+        with pytest.raises(ValueError, match="positive and finite"):
+            pscc.spectral_action(zt.FordString(), g, lam, 2, pscc.S4Geometry())
+
     def test_ford_log_periodic_merge(self):
         terms = pscc.spectral_action(
             zt.FordString(), pscc.gaussian_test_function(), 100.0, 2, pscc.S4Geometry()
@@ -492,6 +498,26 @@ class TestNonRound:
     def test_ford_diverges(self):
         with pytest.raises(zt.PoleError):
             pscc.nonround_zeta_coefficients(zt.FordString(), 2)
+
+    def test_bare_weights_follow_the_cell_table(self):
+        # with zeta_string(s) = 10^s each cell's weight shows its scaling
+        # exponent -2r-m as a power of ten
+        string = zt.AnalyticString(lambda s: 10 ** s, [])
+        rows = pscc.nonround_zeta_coefficients(string, 4)
+        cells = {f"C({r},{m})": (weight, r, m, shift) for weight, r, m, shift in ex.CELLS}
+        assert len(rows) == 3 * len(cells)
+        for row in rows:
+            M, label = row.provenance
+            weight, r, m, shift = cells[label]
+            assert row.exponent == M - 4 + 2 * shift
+            assert row.coeff == weight * 10 ** int(-2 * r - m), label
+
+    def test_rw_heat_transform_residues_are_the_heat_trace_series(self):
+        for family, t in (("matter", 1.3), ("inflation", 0.5), ("sphere", 0.9)):
+            factor = ex.scale_factor(family, 0.7)
+            F = pscc.RWGeometry(factor, t).heat_mellin(3, ((-2.0, 4.5), (-46.0, 46.0)))
+            want = ex.heat_trace_series(3, factor, t)
+            assert [(-q.sigma, q.residue) for q in F.poles] == want
 
 
 class TestSingularExpansion:

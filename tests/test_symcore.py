@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from specexp import bell, bridge
 from specexp import expansion as ex
 from specexp import symcore as sc
-from specexp.expansion import _UVTerms
 
 
 def B(h, c=1):
@@ -227,10 +226,17 @@ def test_aform_eval_out_of_float_range_is_typed(derivs):
 # every carrier of the package is a SparsePoly; one sample element of each
 CARRIERS = {
     "VPoly": lambda: bridge.VPoly.var(1) * Fraction(1, 2) + bridge.VPoly.var(3),
-    "_UVTerms": lambda: _UVTerms.u_letter(1) + _UVTerms.v_letter(2) * 3,
     "SymPoly": lambda: B(-3, Fraction(1, 2)) + sc.SymPoly.a_deriv(1).scale(3),
     "AFormPoly": lambda: sc.AFormPoly.a_power(-1, 2) + sc.AFormPoly.deriv(2),
 }
+
+
+def test_carriers_are_exactly_the_sparse_poly_subclasses():
+    # a new parallel carrier has to be added here on purpose
+    def subclasses(cls):
+        return {c for sub in cls.__subclasses__() for c in {sub} | subclasses(sub)}
+
+    assert {c.__name__ for c in subclasses(sc.SparsePoly)} == set(CARRIERS)
 
 
 @pytest.mark.parametrize("make", CARRIERS.values(), ids=CARRIERS.keys())
@@ -295,4 +301,4 @@ def test_mixed_carriers_raise_type_error():
     with pytest.raises(TypeError):
         v * a
     with pytest.raises(TypeError):
-        _UVTerms.u_letter(1) + sc.SymPoly.a_deriv(1)
+        v + sc.SymPoly.a_deriv(1)
