@@ -235,8 +235,6 @@ def cmd_pscc(args: argparse.Namespace) -> int:
         geometry = pscc.S4Geometry()
     else:
         geometry = pscc.RWGeometry(expansion.scale_factor(args.family, H=args.H), args.t)
-    if args.lam <= 0:
-        raise ValidationError("lambda must be positive")
     if args.mode == "heat":
         terms = pscc.round_heat_expansion(string, args.max_m, geometry)
     else:
@@ -488,8 +486,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--string", default="ford", help="'ford' or a descriptor .json path")
     p.add_argument("--geometry", choices=("s4", "rw"), default="s4")
     p.add_argument("--lambda", dest="lam", type=float, default=10.0,
-                   help="cutoff Lambda > 0; only validated: the action rows are the "
-                        "Lambda-free coefficients of Lambda^exponent")
+                   help="cutoff Lambda, positive and finite; only validated, in action "
+                        "mode: the action rows are the Lambda-free coefficients of "
+                        "Lambda^exponent")
     p.add_argument("--mode", choices=("action", "heat"), default="action")
     _add_format(p, "csv", "json")
     p.add_argument("--reconcile-paper", dest="reconcile", action="store_true")
@@ -522,7 +521,7 @@ def main(argv=None) -> int:
             # the file's values become defaults, so explicit flags still win
             _apply_config(commands, args.command, _read_config_file(args.config))
             args = parser.parse_args(argv)
-        for flag, dest in (("H", "H"), ("t", "t"), ("lambda", "lam")):
+        for flag, dest in (("H", "H"), ("t", "t")):
             value = vars(args).get(dest, 0.0)
             if not math.isfinite(value):
                 raise ValidationError(f"--{flag} must be finite, got {value!r}")

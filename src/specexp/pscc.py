@@ -17,9 +17,12 @@ real, so F is real on the real axis and is evaluated once per conjugate pair.
 Each factor has one evaluator, exact wherever it can be: the string gives
 ``zeta(s)`` and ``poles(strip)``, and every F is a ``MellinFunction`` whose
 evaluator returns ``ExactToken(0)`` where F vanishes exactly.  The F's are
-each geometry's ``heat_mellin``, weighted by f_s for the spectral action, the
-S^4-packing template's zeta_D/2, and ``gamma_mellin``.  The test function is
-one callable, ``moment(alpha)`` = f_alpha (``gaussian_test_function``).
+each geometry's ``heat_mellin``, the S^4-packing template's zeta_D/2, and
+``gamma_mellin``.  The test function is one callable, ``moment(alpha)`` =
+f_alpha (``gaussian_test_function``); the spectral action and the template
+hand it to the core, which multiplies each bulk row by f_alpha and forms
+F(sigma) f_sigma once per conjugate pair, so an action row is a heat row
+weighted by a moment.
 
 Non-round scaling (spatial sections only) weights each cell C^(r,m) of
 ``expansion.CELLS`` by zeta_string at its scaling exponent -2r-m (s = 3 and
@@ -34,7 +37,7 @@ by real then imaginary part).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -121,11 +124,6 @@ def gaussian_test_function() -> Callable[[complex], complex | Fraction]:
     return moment
 
 
-def _moment_at(moment, alpha):
-    """f_alpha, and 1 without a test function."""
-    return 1 if moment is None else moment(alpha)
-
-
 # ----------------------------------------------------------------------
 # the transform F and the one row core
 # ----------------------------------------------------------------------
@@ -167,19 +165,6 @@ def _exact_zero(c) -> bool:
     return isinstance(c, ExactToken) and not c.rat
 
 
-def _weighted(F: MellinFunction, moment) -> MellinFunction:
-    """F(s) f_s, with an exact 0 from F as it stands.
-
-    The pole table stays F's: a caller multiplies each bulk row by f_alpha.
-    """
-
-    def evaluator(s):
-        c = F(s)
-        return c if _exact_zero(c) else c * moment(s)
-
-    return replace(F, evaluator=evaluator)
-
-
 def _coeff_mul(a, b):
     """Product of expansion coefficients: exact when both are, else numeric,
     with a complex of zero imaginary part given as its real part."""
@@ -193,18 +178,19 @@ def _point_strip(s: complex):
             (s.imag - _COLLISION_TOL, s.imag + _COLLISION_TOL))
 
 
-def _singular_rows(string: FractalString, F: MellinFunction, strip):
-    """Singular expansion of the Mellin transform zeta_string(s) F(s).
+def _singular_rows(string: FractalString, F: MellinFunction, strip, moment=None):
+    """Singular expansion of the Mellin transform zeta_string(s) F(s) f_s.
 
     Each pole alpha of F with a residue c gives a bulk row (alpha,
-    zeta_string(alpha) c), in order.  Each string pole sigma in the strip
-    gives a pole row (sigma, F(sigma) Res_sigma), with F evaluated once per
-    conjugate pair.  An exact nonzero F(sigma) takes the pole's exact
-    residue where it has one; an exact zero token from F is the row as it
-    stands.  A string pole on a pole of F raises CollisionError naming that
-    pole: in the strip, and on a pole with a residue wherever it lies, since
-    that pole's bulk row needs zeta_string there.  So does a pole of F
-    missing from its table, met as F's ZeroDivisionError.
+    zeta_string(alpha) c f_alpha), in order.  Each string pole sigma in the
+    strip gives a pole row (sigma, F(sigma) f_sigma Res_sigma), with F(sigma)
+    f_sigma formed once per conjugate pair.  Without a moment f_s is 1.  An
+    exact nonzero product takes the pole's exact residue where it has one;
+    an exact zero token from F is the row as it stands, and the moment is not
+    asked for there.  A string pole on a pole of F raises CollisionError
+    naming that pole: in the strip, and on a pole with a residue wherever it
+    lies, since that pole's bulk row needs zeta_string there.  So does a pole
+    of F missing from its table, met as F's ZeroDivisionError.
     """
     poles = [(complex(p.sigma), p) for p in string_poles(string, strip)]
     names = F.names or [f"the transform pole at {q.sigma}" for q in F.poles]
@@ -222,7 +208,9 @@ def _singular_rows(string: FractalString, F: MellinFunction, strip):
         for q in F.poles
         if q.residue is not None
     ]
-    values = {}  # F(sigma); F is real on the real axis, so F(conj s) = conj F(s)
+    if moment is not None:
+        bulk = [(alpha, _coeff_mul(c, moment(alpha))) for alpha, c in bulk]
+    values = {}  # F(sigma) f_sigma; f is real, so the product at conj s is its conjugate
     rows = []
     for sigma, p in poles:
         if sigma.conjugate() in values:
@@ -234,6 +222,8 @@ def _singular_rows(string: FractalString, F: MellinFunction, strip):
                 raise CollisionError(
                     f"string pole at {_plain(sigma)} lies on a pole of the transform "
                     f"outside its pole table") from exc
+            if moment is not None and not _exact_zero(c):
+                c = c * moment(sigma)
         values[sigma] = c
         if not isinstance(c, ExactToken):
             c = c * p.residue
@@ -275,11 +265,10 @@ class S4Geometry:
 
 
 def _s4_heat_transform(s: complex):
-    """Gamma(s/2) zeta_D(s)/2, an exact 0 at an odd negative integer s."""
-    k = _integer_at(s)
-    if k is not None and k < 0 and k % 2:
-        return ExactToken(0)
-    return gamma_complex(s / 2.0) / 2.0 * zeta_mod.dirac_zeta_s4(s)
+    """Gamma(s/2) zeta_D(s)/2, an exact 0 where zeta_D is (the odd negative
+    integers)."""
+    half_zeta = _half_dirac_zeta(s)
+    return half_zeta if _exact_zero(half_zeta) else gamma_complex(s / 2.0) * half_zeta
 
 
 @dataclass(frozen=True)
@@ -391,18 +380,18 @@ def spectral_action(
     f_(4-2M) zeta_string(4-2M) c_2M at exponent 4-2M, pole rows
     tilde-f(sigma) f_sigma Res_sigma at exponent sigma, with complex-conjugate
     pole pairs merged into the real form 2|c| Lambda^a cos(b ln Lambda + phase).
+    They are the heat transform's rows, weighted in ``_singular_rows`` by
+    ``moment(alpha)`` = f_alpha, as ``gaussian_test_function()`` gives it.
     ``lam`` is only validated (it must be positive and finite): the rows do
     not depend on it, and a caller evaluates a row at a cutoff with
-    ``term_value(row, lam)``.  ``moment(alpha)`` gives f_alpha, as
-    ``gaussian_test_function()`` does.
+    ``term_value(row, lam)``.
     """
     if not 0 < lam < math.inf:
         raise ValueError(f"Lambda must be positive and finite, got {lam!r}")
     F, strip = _heat_transform(geometry, max_m, pole_strip)
-    bulk, pole_rows = _singular_rows(string, _weighted(F, moment), strip)
+    bulk, pole_rows = _singular_rows(string, F, strip, moment)
     return [
-        ExpansionTerm(Fraction(alpha), _coeff_mul(c, _moment_at(moment, alpha)), "bulk", M)
-        for M, (alpha, c) in enumerate(bulk)
+        ExpansionTerm(Fraction(alpha), c, "bulk", M) for M, (alpha, c) in enumerate(bulk)
     ] + [
         ExpansionTerm(sigma, c, "pole", sigma, log_periodic)
         for sigma, c, log_periodic in _merge_conjugate_poles(pole_rows)
@@ -429,9 +418,9 @@ def s4_packing_action_terms(
     poles where zeta_D is exactly 0 are an exact 0 either way.
 
     The rows come from ``_singular_rows`` with F = zeta_D/2 (exact at
-    integers <= 1) and bulk weights zeta_D(0), 1/2, 1/2 at the exponents 0,
-    2, 4; a string pole on one of those exponents raises CollisionError.
-    The moments multiply the rows afterwards.
+    integers <= 1), bulk weights zeta_D(0), 1/2, 1/2 at the exponents 0, 2,
+    4 and the moment, if given, as the weight; a string pole on one of those
+    exponents raises CollisionError.
     """
     strip = pole_strip if pole_strip is not None else ((-8.5, 4.5), (-46.0, 46.0))
     half = Fraction(1, 2)
@@ -440,22 +429,16 @@ def s4_packing_action_terms(
         (PoleTerm(0, zeta_mod.dirac_zeta_s4_exact(0)), PoleTerm(2, half), PoleTerm(4, half)),
         tuple(f"the bulk exponent {alpha}" for alpha in (0, 2, 4)),
     )
-    bulk, pole_rows = _singular_rows(string, F, strip)
-    rows = [
-        ExpansionTerm(Fraction(alpha), _coeff_mul(c, _moment_at(moment, alpha)), "bulk",
-                      f"Lambda^{alpha}" if alpha else "f(0)")
+    bulk, pole_rows = _singular_rows(string, F, strip, moment)
+    return [
+        ExpansionTerm(Fraction(alpha), c, "bulk", f"Lambda^{alpha}" if alpha else "f(0)")
         for alpha, c in bulk
-    ]
-    for sigma, c in pole_rows:
-        # where zeta_D vanishes (sigma = -1, -3, ...) the row is an exact 0
-        if not _exact_zero(c):
-            c = _coeff_mul(c, _moment_at(moment, sigma))
-        rows.append(ExpansionTerm(sigma, c, "pole", sigma))
-    return rows
+    ] + [ExpansionTerm(sigma, c, "pole", sigma) for sigma, c in pole_rows]
 
 
 def _half_dirac_zeta(s: complex):
-    """zeta_D(s)/2, an exact token at an integer s <= 1."""
+    """zeta_D(s)/2, an exact token at an integer s <= 1: the one evaluator of
+    the S^4 Dirac zeta, for the heat transform and the packing template."""
     k = _integer_at(s)
     if k is not None and k <= 1:
         return zeta_mod.dirac_zeta_s4_exact(k) * Fraction(1, 2)

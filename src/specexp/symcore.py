@@ -526,6 +526,14 @@ def _b_half_latex(half_units: int) -> str:
     return f"B(t)^{{{exp}}}"
 
 
+def _latex_sum(chunks: list[tuple[Fraction, str]]) -> str:
+    """LaTeX sum of (coeff, body) chunks, each body written for |coeff|: a
+    negative first term leads with "-", the others join with " + " or " - "."""
+    (first, text), rest = chunks[0], chunks[1:]
+    return ("-" if first < 0 else "") + text + "".join(
+        f" {'-' if coeff < 0 else '+'} {body}" for coeff, body in rest)
+
+
 def sympoly_to_latex(p: SymPoly) -> str:
     if p.is_zero():
         return "0"
@@ -540,17 +548,12 @@ def sympoly_to_latex(p: SymPoly) -> str:
             num_factors.append(_b_half_latex(mono.b_half))
         den_sym = _b_half_latex(-mono.b_half) if mono.b_half < 0 else ""
         num = " ".join(num_factors) if num_factors else "1"
-        sign = "-" if coeff < 0 else "+"
         q = abs(coeff)
         num_txt = num if q.numerator == 1 and num != "1" else (str(q.numerator) if num == "1" else f"{q.numerator} {num}")
         den_txt = " ".join(x for x in (str(q.denominator) if q.denominator != 1 else "", den_sym) if x)
         body = f"\\frac{{{num_txt}}}{{{den_txt}}}" if den_txt else num_txt
-        chunks.append((sign, body))
-    first_sign, first_body = chunks[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        text += f" {sign} {body}"
-    return text
+        chunks.append((coeff, body))
+    return _latex_sum(chunks)
 
 
 def sympoly_to_json(p: SymPoly) -> dict:
@@ -608,7 +611,7 @@ def aform_to_text(p: AFormPoly) -> str:
 def aform_to_latex(p: AFormPoly) -> str:
     if p.is_zero():
         return "0"
-    parts = []
+    chunks = []
     for (a_pow, dexp), coeff in p.sorted_terms():
         factors = []
         if a_pow:
@@ -616,12 +619,10 @@ def aform_to_latex(p: AFormPoly) -> str:
         for i, e in dexp:
             factors.append(_latex_sym("a", i, e))
         body = " ".join(factors) if factors else "1"
-        if coeff.denominator == 1:
-            coeff_tex = str(coeff.numerator)
-        else:
-            coeff_tex = f"\\frac{{{coeff.numerator}}}{{{coeff.denominator}}}"
-        parts.append(f"{coeff_tex} \\, {body}")
-    return " + ".join(parts)
+        q = abs(coeff)
+        coeff_tex = str(q) if q.denominator == 1 else f"\\frac{{{q.numerator}}}{{{q.denominator}}}"
+        chunks.append((coeff, f"{coeff_tex} \\, {body}"))
+    return _latex_sum(chunks)
 
 
 def aform_to_json(p: AFormPoly) -> dict:

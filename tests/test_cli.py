@@ -363,6 +363,21 @@ def test_out_of_domain_input_is_validation_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestLambdaCheck:
+    """Lambda is checked once, by the spectral action, so only where it is used."""
+
+    def test_heat_mode_ignores_lambda(self, capsys):
+        base = ["pscc", "--mode", "heat", "--maxM", "1"]
+        code, out, err = run(capsys, *base, "--lambda", "-1")
+        assert code == cli.EXIT_OK and err == ""
+        assert out == run(capsys, *base)[1]
+
+    def test_action_mode_rejects_negative_lambda(self, capsys):
+        code, out, err = run(capsys, "pscc", "--mode", "action", "--lambda", "-1", "--maxM", "1")
+        assert code == cli.EXIT_VALIDATION and out == ""
+        assert err == "error: Lambda must be positive and finite, got -1.0\n"
+
+
 def _fresh_python(script: str, timeout: float) -> list[str]:
     """Run script in a new interpreter on this checkout; its stdout lines."""
     src = Path(__file__).resolve().parents[1] / "src"

@@ -424,8 +424,16 @@ class TestPackingTemplate:
 
         monkeypatch.setattr(zt, "dirac_zeta_s4", counted)
         g = pscc.gaussian_test_function()
-        rows = pscc.s4_packing_action_terms(zt.FordString(), g)
+        moments = []
+
+        def moment(alpha):
+            moments.append(complex(alpha))
+            return g(alpha)
+
+        rows = pscc.s4_packing_action_terms(zt.FordString(), moment)
         assert len(calls) == 25 == len({(s.real, abs(s.imag)) for s in calls})
+        # the weighted value zeta_D(sigma)/2 f_sigma is formed once per pair too
+        assert sum(1 for s in moments if s.imag) == 25
         # each row as evaluating zeta_D at its own pole gives it, bit for bit
         poles = {complex(p.sigma): p for p in zt.string_poles(
             zt.FordString(), ((-8.5, 4.5), (-46.0, 46.0)))}
@@ -433,8 +441,22 @@ class TestPackingTemplate:
         assert len(complex_rows) == 50
         for t in complex_rows:
             sigma = complex(t.exponent)
-            want = real(sigma) / 2.0 * poles[sigma].residue * g(sigma)
+            want = real(sigma) / 2.0 * g(sigma) * poles[sigma].residue
             assert repr(t.coeff) == repr(want), sigma
+
+    def test_s4_heat_transform_is_gamma_times_template_transform(self):
+        # the S^4 heat transform is Gamma(s/2) times the template's zeta_D/2
+        strip = ((-8.5, 4.5), (-46.0, 46.0))
+        F = pscc.S4Geometry().heat_mellin(2, strip)
+        sigmas = [complex(p.sigma) for p in zt.string_poles(zt.FordString(), strip)
+                  if complex(p.sigma).imag]
+        assert len(sigmas) == 50
+        for s in sigmas + [1 + 0j, 0.25 + 5j, 0.25 - 5j]:
+            want = gamma_complex(s / 2.0) * pscc._half_dirac_zeta(s)
+            assert repr(F(s)) == repr(want), s
+        for k in (1, 3, 5):
+            s = complex(-k, 0)
+            assert F(s) == zt.ExactToken(Fraction(0)) == pscc._half_dirac_zeta(s)
 
     def test_gaussian_moments_with_default_strip(self):
         # zeta_D vanishes at -1, -3, -5, -7, where the Gaussian has no moment

@@ -124,6 +124,19 @@ class TestSerialization:
         tex = sc.sympoly_to_latex(B(-3, Fraction(1, 2)))
         assert "B(t)^{3/2}" in tex and "frac" in tex
 
+    def test_aform_latex_a2(self):
+        tex = sc.aform_to_latex(sc.to_a_form(ex.a2M(1)))
+        assert tex == (r"-\frac{1}{4} \, a(t) + \frac{1}{4} \, a(t) a'(t)^{2}"
+                       r" + \frac{1}{4} \, a(t)^{2} a''(t)")
+
+    def test_aform_latex_signs_lead_their_terms(self):
+        # a sign is written once, before its term, as in the ab form; only
+        # exponents such as a(t)^{-2} carry a minus inside braces
+        for M in range(5):
+            tex = sc.aform_to_latex(sc.to_a_form(ex.a2M(M)))
+            assert r"\frac{-" not in tex and "+ -" not in tex, M
+            assert "{-" not in tex.replace("a(t)^{-", ""), M
+
 
 # ----------------------------------------------------------------------
 # property tests
