@@ -7,6 +7,7 @@ recursion, the Gaussian-moment polynomial route, and path simulation (one set
 of simulated paths serves every functional).
 """
 
+import math
 from fractions import Fraction
 
 from specexp import bridge
@@ -18,8 +19,8 @@ print("=" * 72)
 specs = [{1: 2}, {2: 1}, {1: 4}, {2: 2}, {1: 2, 2: 1}, {3: 2}]
 
 print(f"\n{'functional':>16} {'Wick recursion':>16} {'polynomial route':>18}"
-      f" {'MC (2e5 paths)':>16} {'dev/se':>8}")
-estimates = bridge.mc_estimate_many(specs, 200_000, 512, seed=1)
+      f" {'MC (2e4 paths)':>16} {'dev/se':>8}")
+estimates = bridge.mc_estimate_many(specs, 20_000, 256, seed=1)
 for spec, (est, se) in zip(specs, estimates):
     exact = bridge.moment_product(spec)
     blocks = [(i,) * m for i, m in sorted(spec.items())]
@@ -30,7 +31,6 @@ for spec, (est, se) in zip(specs, estimates):
             bridge.monomial_bridge_polynomial(word), len(word)
         )
     for _, m in spec.items():
-        import math
         poly_route *= math.factorial(m)
     dev = abs(est - float(exact)) / se if se else 0.0
     name = " ".join(f"x{i}^{m}" for i, m in sorted(spec.items()))

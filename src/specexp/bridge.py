@@ -43,7 +43,6 @@ __all__ = [
     "VPoly",
     "simplex_monomial_integral",
     "simplex_integrate",
-    "pairing_integral",
     "monomial_bridge_polynomial",
     "monomial_simplex_integral",
     "shuffle",
@@ -135,22 +134,6 @@ def _pairings(indices: tuple[int, ...]):
         remaining = rest[:pos] + rest[pos + 1 :]
         for tail in _pairings(remaining):
             yield ((first, partner),) + tail
-
-
-def pairing_integral(n: int) -> VPoly:
-    """Bridge moment of alpha(v_1)...alpha(v_2n) on the ordered simplex.
-
-    Sum over the (2n-1)!! pairings of the covariances v_i(1 - v_j), i < j.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = VPoly.zero()
-    for pairing in _pairings(tuple(range(1, 2 * n + 1))):
-        term = VPoly.one()
-        for i, j in pairing:
-            term = term * (VPoly.var(i) - VPoly.var(i) * VPoly.var(j))
-        total = total + term
-    return total
 
 
 def monomial_bridge_polynomial(I: Sequence[int]) -> VPoly:

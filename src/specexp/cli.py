@@ -280,10 +280,7 @@ def _suite_bridge(args: argparse.Namespace) -> list[dict]:
     checks.append(
         {"name": "x1^2-exact", "pass": exact == Fraction(1, 12), "detail": str(exact)}
     )
-    n_paths, n_grid = args.mc_paths, args.mc_grid
-    if args.fast:
-        n_paths, n_grid = min(n_paths, 20_000), min(n_grid, 128)
-    est, se = bridge.mc_estimate({1: 2}, n_paths, n_grid, args.seed, worker_count())
+    est, se = bridge.mc_estimate({1: 2}, args.mc_paths, args.mc_grid, args.seed, worker_count())
     dev = abs(est - 1.0 / 12.0) / se
     checks.append(
         {
@@ -309,11 +306,10 @@ def _suite_dawson(args: argparse.Namespace) -> list[dict]:
         for x in grid
     )
     checks.append({"name": "dawson-ode", "pass": resid < 1e-8, "detail": f"max residual {resid:.2g}"})
-    draws = 2 if args.fast else 5
     for n in (1, 2, 3):
         ok = True
         worst = 0.0
-        for _ in range(draws):
+        for _ in range(5):
             u = rng.uniform(0.3, 2.0, n)
             lhs, rhs, good = specfun.verify_dawson_simplex(n, u, tol=1e-9)
             worst = max(worst, abs(lhs - rhs))
@@ -322,7 +318,7 @@ def _suite_dawson(args: argparse.Namespace) -> list[dict]:
             {"name": f"dawson-simplex-n{n}", "pass": ok, "detail": f"worst |diff| {worst:.2g}"}
         )
     u4 = rng.uniform(0.3, 2.0, 4)
-    lhs, rhs, ok4 = specfun.verify_dawson_simplex(4, u4, tol=1e-4 if args.fast else 1e-5)
+    lhs, rhs, ok4 = specfun.verify_dawson_simplex(4, u4, tol=1e-5)
     checks.append(
         {"name": "dawson-simplex-n4", "pass": ok4, "detail": f"|diff|={abs(lhs-rhs):.2g}"}
     )
@@ -334,7 +330,7 @@ def _suite_mellin(args: argparse.Namespace) -> list[dict]:
 
     checks = []
     rng = np.random.default_rng(args.seed)
-    draws = 3 if args.fast else 10
+    draws = 10
     ok = True
     worst = 0.0
     for _ in range(draws):
@@ -381,9 +377,8 @@ def _suite_bell(args: argparse.Namespace) -> list[dict]:
     import numpy as np
 
     checks = []
-    upto = 7 if args.fast else 9
-    ok = all(bell.bell_number(n) == _count_set_partitions(n) for n in range(0, upto))
-    checks.append({"name": "bell-row-sum", "pass": ok, "detail": f"n<= {upto - 1}"})
+    ok = all(bell.bell_number(n) == _count_set_partitions(n) for n in range(0, 9))
+    checks.append({"name": "bell-row-sum", "pass": ok, "detail": "n<= 8"})
     rng = np.random.default_rng(args.seed)
     ok = True
     for _ in range(10):
@@ -496,7 +491,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("verify", help="run numeric verification suites")
     p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--fast", action="store_true")
     p.add_argument("--paths", dest="mc_paths", type=int, default=200_000,
                    help="Monte Carlo path count for the bridge suite")
     p.add_argument("--grid", dest="mc_grid", type=int, default=1024,

@@ -60,10 +60,8 @@ __all__ = [
     "heat_trace_series",
     "ScaleFactor",
     "scale_factor",
-    "FAMILIES",
     "rescale_uv",
     "term_scaling_exponent",
-    "verify_uv_scaling",
     "ConsistencyError",
 ]
 
@@ -85,9 +83,6 @@ class MomentTerm:
     scalar: Fraction
     sym: DerivMonomial
     letters: tuple[int, ...]
-
-    def sym_poly(self) -> SymPoly:
-        return SymPoly.monomial(self.sym, self.scalar)
 
 
 @lru_cache(maxsize=None)
@@ -476,9 +471,6 @@ def scale_factor(
     raise ValueError(f"unknown scale-factor family {family!r}")
 
 
-FAMILIES = ("inflation", "radiation", "matter", "empty", "sphere", "custom")
-
-
 def heat_trace_series(
     max_m: int, factor: ScaleFactor, t: float
 ) -> list[tuple[int, float]]:
@@ -520,12 +512,4 @@ def term_scaling_exponent(term: MomentTerm) -> Fraction:
         mono.b_half
         + 2 * sum(e for _, e in mono.b_exp)
         + sum(e for _, e in mono.a_exp)
-    )
-
-
-def verify_uv_scaling(r: Fraction | int, m: int, M: int) -> bool:
-    """Check C^(r,m)_M -> a^(-2r-m) C^(r,m)_M termwise (exact, symbolic)."""
-    expected = -(2 * Fraction(r) + m)
-    return all(
-        term_scaling_exponent(t) == expected for t in crm_direct(r, m, M)
     )

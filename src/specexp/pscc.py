@@ -17,10 +17,10 @@ real, so F is real on the real axis and is evaluated once per conjugate pair.
 Each factor has one evaluator, exact wherever it can be: the string gives
 ``zeta(s)`` and ``poles(strip)``, and every F is a ``MellinFunction`` whose
 evaluator returns ``ExactToken(0)`` where F vanishes exactly.  The F's are
-each geometry's ``heat_mellin``, the S^4-packing template's zeta_D/2, and
-``gamma_mellin``.  The test function is one callable, ``moment(alpha)`` =
-f_alpha (``gaussian_test_function``); the spectral action and the template
-hand it to the core, which multiplies each bulk row by f_alpha and forms
+each geometry's ``heat_mellin`` and the S^4-packing template's zeta_D/2.
+The test function is one callable, ``moment(alpha)`` = f_alpha
+(``gaussian_test_function``); the spectral action and the template hand it
+to the core, which multiplies each bulk row by f_alpha and forms
 F(sigma) f_sigma once per conjugate pair, so an action row is a heat row
 weighted by a moment.
 
@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 from . import expansion as exp_mod
 from . import zeta as zeta_mod
-from .expansion import ScaleFactor, rescale_uv
+from .expansion import ScaleFactor
 from .specfun import gamma_complex
 from .zeta import ExactToken, FordString, FractalString, PoleError, PoleTerm, _plain, string_poles
 
@@ -61,9 +61,6 @@ __all__ = [
     "ford_constants_report_text",
     "nonround_zeta_coefficients",
     "MellinFunction",
-    "gamma_mellin",
-    "singular_expansion_combine",
-    "rescale_uv",
     "term_value",
     "expansion_to_json",
     "expansion_table",
@@ -184,13 +181,15 @@ def _singular_rows(string: FractalString, F: MellinFunction, strip, moment=None)
     Each pole alpha of F with a residue c gives a bulk row (alpha,
     zeta_string(alpha) c f_alpha), in order.  Each string pole sigma in the
     strip gives a pole row (sigma, F(sigma) f_sigma Res_sigma), with F(sigma)
-    f_sigma formed once per conjugate pair.  Without a moment f_s is 1.  An
-    exact nonzero product takes the pole's exact residue where it has one;
-    an exact zero token from F is the row as it stands, and the moment is not
-    asked for there.  A string pole on a pole of F raises CollisionError
-    naming that pole: in the strip, and on a pole with a residue wherever it
-    lies, since that pole's bulk row needs zeta_string there.  So does a pole
-    of F missing from its table, met as F's ZeroDivisionError.
+    f_sigma formed once per conjugate pair.  Without a moment f_s is 1.
+    Every row is a ``_coeff_mul`` product, so a numeric row with a zero
+    imaginary part is a float.  An exact nonzero product takes the pole's
+    exact residue where it has one; an exact zero token from F is the row as
+    it stands, and the moment is not asked for there.  A string pole on a
+    pole of F raises CollisionError naming that pole: in the strip, and on a
+    pole with a residue wherever it lies, since that pole's bulk row needs
+    zeta_string there.  So does a pole of F missing from its table, met as
+    F's ZeroDivisionError.
     """
     poles = [(complex(p.sigma), p) for p in string_poles(string, strip)]
     names = F.names or [f"the transform pole at {q.sigma}" for q in F.poles]
@@ -225,10 +224,9 @@ def _singular_rows(string: FractalString, F: MellinFunction, strip, moment=None)
             if moment is not None and not _exact_zero(c):
                 c = c * moment(sigma)
         values[sigma] = c
-        if not isinstance(c, ExactToken):
-            c = c * p.residue
-        elif not _exact_zero(c):
-            c = _coeff_mul(c, p.residue if p.exact is None else p.exact)
+        if not _exact_zero(c):
+            exact = isinstance(c, ExactToken) and p.exact is not None
+            c = _coeff_mul(c, p.exact if exact else p.residue)
         rows.append((sigma, c))
     return bulk, rows
 
@@ -538,37 +536,6 @@ def nonround_zeta_coefficients(
                 coeff += w * exp_mod.eval_numeric(cell, derivs)
         rows.append(ExpansionTerm(Fraction(2 * K - 4), coeff, "bulk", K))
     return rows
-
-
-# ----------------------------------------------------------------------
-# generic singular-expansion combination
-# ----------------------------------------------------------------------
-
-def gamma_mellin(max_order: int = 12) -> MellinFunction:
-    """Mellin transform of exp(-u): Gamma, with poles at -k, residues (-1)^k/k!."""
-    poles = tuple(
-        PoleTerm(complex(-k, 0.0), complex((-1) ** k / math.factorial(k)))
-        for k in range(0, max_order + 1)
-    )
-    return MellinFunction(evaluator=gamma_complex, poles=poles)
-
-
-def singular_expansion_combine(
-    string: FractalString, mellin_of_f: MellinFunction
-) -> list[ExpansionTerm]:
-    """Small-argument expansion of g(u) = sum over radii a of f(u/a).
-
-    The transform of g is zeta_string(z) M(f)(z); its singular expansion
-    merges the poles of M(f) (weighted by string zeta values) with the poles
-    of the string zeta (weighted by M(f) values), with M(f) evaluated once
-    per conjugate pair of string poles (f is real, so M(f) is real on the
-    real axis).  The two pole sets must be disjoint.
-    """
-    bulk, pole_rows = _singular_rows(string, mellin_of_f, None)
-    terms = [ExpansionTerm(-alpha, c, "bulk", alpha) for alpha, c in bulk]
-    terms += [ExpansionTerm(-sigma, c, "pole", sigma) for sigma, c in pole_rows]
-    terms.sort(key=lambda t: (complex(t.exponent).real, complex(t.exponent).imag))
-    return terms
 
 
 # ----------------------------------------------------------------------

@@ -291,11 +291,6 @@ class SymPoly(SparsePoly):
     _sort_key = staticmethod(DerivMonomial.sort_key)
 
     @staticmethod
-    def b_power(half_units: int, coeff=1) -> "SymPoly":
-        """B(t)^(half_units/2) with an optional coefficient."""
-        return SymPoly({DerivMonomial(half_units): coeff})
-
-    @staticmethod
     def a_deriv(i: int) -> "SymPoly":
         return SymPoly({DerivMonomial(0, ((i, 1),)): 1})
 

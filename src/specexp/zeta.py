@@ -13,10 +13,12 @@ table.  Each gives one evaluator, ``zeta(s)``, exact where the string allows
 Re s for a complex s on the real axis, and ``poles(strip)``, the simple poles
 in a strip with their residues.  For the Ford string these are s=1, the
 negative integers (trivial zeros of zeta(2s)) and half the nontrivial zeros.
-Their ordinates and residues ship as data files, read once with shape checks
-only; ``check_pole_table`` re-derives them (Hardy-Z sign bracketing, the
-residue formula) for the tests and ``verify --suite poles``.  Ford residues
-are memoised per pole; those at s = 1 and s = -k are exact tokens.
+Their ordinates and residues ship as data files for the first 25 zeros, read
+once with shape checks only, and a strip that reaches past them raises
+``PoleError``.  ``check_pole_table`` re-derives them (Hardy-Z sign
+bracketing, the residue formula) for the tests and ``verify --suite poles``.
+Ford residues are memoised per pole; those at s = 1 and s = -k are exact
+tokens.
 
 Evaluators are pure; the pole table is immutable after load.  numpy is
 imported only where an array string is built or summed.
@@ -284,10 +286,19 @@ class FordString:
         return ford_zeta_exact(s) if isinstance(s, int) else ford_zeta(_plain(s))
 
     def poles(self, strip) -> list[PoleTerm]:
-        """The poles in the strip, by real then imaginary part (``_ford_pole``)."""
+        """The poles in the strip, by real then imaginary part (``_ford_pole``).
+
+        Raises ``PoleError`` when the strip holds Re s = 1/4 and reaches
+        |Im s| >= gamma_26/2, past the bundled zero table.
+        """
         sigmas = [1 + 0j]
         sigmas += [complex(-k, 0.0) for k in range(1, math.floor(-strip[0][0] + 1e-9) + 1)]
         if strip[0][0] <= 0.25 <= strip[0][1]:
+            reach = max(abs(strip[1][0]), abs(strip[1][1]))
+            if reach >= _TABLE_REACH / 2:
+                raise PoleError(
+                    f"strip reaches |Im s| = {reach:g}, past the bundled Ford poles "
+                    f"(|Im s| < {_TABLE_REACH / 2:.6g}, the first 25 zeta zeros)")
             sigmas += [complex(0.25, sgn * g / 2) for g in zero_ordinates() for sgn in (1, -1)]
         poles = [_ford_pole(s) for s in sigmas if _in_strip(s, strip)]
         poles.sort(key=lambda p: (p.sigma.real, p.sigma.imag))
@@ -510,6 +521,9 @@ def ford_zeta_exact(n: int) -> ExactToken:
 # -- bundled pole table: zero ordinates and Ford residues -----------------
 
 _N_ZEROS = 25
+# The ordinate of the 26th nontrivial zero (mpmath.zetazero(26)): the table
+# holds every Ford pole 1/4 + i gamma/2 with |Im| below half of it.
+_TABLE_REACH = 92.49189927055849
 
 
 class PoleTableError(RuntimeError):
@@ -624,23 +638,21 @@ def _ford_pole(sigma: complex) -> PoleTerm:
 
 def string_poles(string: FractalString, strip=None) -> list[PoleTerm]:
     """``string.poles(strip)``: the simple poles of the string zeta inside the
-    strip ((reMin,reMax),(imMin,imMax)), ((-12, 6), (-50, 50)) by default."""
-    return string.poles(((-12.0, 6.0), (-50.0, 50.0)) if strip is None else strip)
+    strip ((reMin,reMax),(imMin,imMax)), ((-12, 6), (-46, 46)) by default."""
+    return string.poles(((-12.0, 6.0), (-46.0, 46.0)) if strip is None else strip)
 
 
 # ----------------------------------------------------------------------
 # Dirac zeta on the round S^4
 # ----------------------------------------------------------------------
 
-def dirac_zeta_s4(s: complex, r: float = 1.0) -> complex:
-    """zeta of |D| on the radius-r round S^4: (4/3) r^s (zeta(s-3) - zeta(s-1))."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+def dirac_zeta_s4(s: complex) -> complex:
+    """zeta of |D| on the unit round S^4: (4/3) (zeta(s-3) - zeta(s-1))."""
     s = complex(s)
     for pole in (4.0, 2.0):
         if abs(s - pole) < 1e-12:
             raise PoleError(f"Dirac zeta has a pole at s = {int(pole)}")
-    return (4.0 / 3.0) * r**s * (riemann_zeta(s - 3) - riemann_zeta(s - 1))
+    return (4.0 / 3.0) * (riemann_zeta(s - 3) - riemann_zeta(s - 1))
 
 
 def dirac_zeta_s4_exact(s: int) -> ExactToken:

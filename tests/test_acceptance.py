@@ -231,8 +231,9 @@ def test_criterion_11_uv_scaling_law():
     cells = 0
     for r, m in pairs:
         for M in range(0, 5):
-            assert ex.verify_uv_scaling(r, m, M), (r, m, M)
+            for t in ex.crm_direct(r, m, M):
+                assert ex.term_scaling_exponent(t) == -(2 * r + m), (r, m, M)
             cells += 1
-    assert pscc.rescale_uv(1, 1, 2) == (Fraction(1, 4), Fraction(1, 2))
+    assert ex.rescale_uv(1, 1, 2) == (Fraction(1, 4), Fraction(1, 2))
     _report(11, f"C^(r,m)_M -> a^(-2r-m) C^(r,m)_M verified symbolically on "
                 f"{cells} cells (M <= 4, three (r,m) pairs)")

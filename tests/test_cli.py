@@ -16,6 +16,10 @@ from specexp import cli, zeta
 from specexp import symcore as sc
 
 
+# a Monte Carlo of 20 000 paths on a grid of 128 for the bridge suite
+SMALL_MC = ("--paths", "20000", "--grid", "128")
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -231,15 +235,15 @@ class TestPscc:
 
 class TestVerify:
     def test_bridge_suite(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "bridge", "--seed", "7", "--fast")
+        code, out, _ = run(capsys, "verify", "--suite", "bridge", "--seed", "7", *SMALL_MC)
         assert code == 0 and "x1^2-exact" in out
 
     def test_deterministic_given_seed(self, capsys):
         code1, out1, _ = run(
-            capsys, "verify", "--suite", "mellin", "--seed", "7", "--fast", "--format", "json"
+            capsys, "verify", "--suite", "mellin", "--seed", "7", "--format", "json"
         )
         code2, out2, _ = run(
-            capsys, "verify", "--suite", "mellin", "--seed", "7", "--fast", "--format", "json"
+            capsys, "verify", "--suite", "mellin", "--seed", "7", "--format", "json"
         )
         assert code1 == code2 == 0 and out1 == out2
 
@@ -253,7 +257,7 @@ class TestVerify:
 
     def test_bell_suite_json(self, capsys):
         code, out, _ = run(
-            capsys, "verify", "--suite", "bell", "--seed", "1", "--fast", "--format", "json"
+            capsys, "verify", "--suite", "bell", "--seed", "1", "--format", "json"
         )
         assert code == 0
         rep = json.loads(out)
@@ -262,7 +266,7 @@ class TestVerify:
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "7.5"])
     def test_seed_outside_philox_key_exits_2(self, capsys, seed):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--suite", "bridge", "--seed", seed, "--fast"])
+            cli.main(["verify", "--suite", "bridge", "--seed", seed])
         assert exc.value.code == cli.EXIT_VALIDATION
         assert "argument --seed: must be an integer in [0, 2^64)" in capsys.readouterr().err
 
@@ -273,7 +277,7 @@ class TestVerify:
         assert code == cli.EXIT_OK and check["pass"] and check["detail"].startswith("row 7:")
 
     def test_all_includes_poles_suite(self, capsys):
-        code, out, _ = run(capsys, "verify", "--fast", "--seed", "3", "--format", "json")
+        code, out, _ = run(capsys, "verify", *SMALL_MC, "--seed", "3", "--format", "json")
         rep = json.loads(out)
         assert code == cli.EXIT_OK and list(rep["suites"]) == [
             "bridge", "dawson", "mellin", "bell", "poles"]
@@ -306,7 +310,7 @@ class TestVerify:
     def test_dawson_suite_json(self, capsys):
         # the Dawson suite's quadrature checks return numpy booleans
         code, out, _ = run(
-            capsys, "verify", "--suite", "dawson", "--fast", "--format", "json"
+            capsys, "verify", "--suite", "dawson", "--format", "json"
         )
         rep = json.loads(out)
         assert rep["pass"] in (True, False)
@@ -327,7 +331,7 @@ class TestWorkerCount:
         monkeypatch.setenv("SPECEXP_THREADS", raw)
         with pytest.raises(cli.ValidationError):
             cli.worker_count()
-        code, _, err = run(capsys, "verify", "--suite", "bridge", "--seed", "7", "--fast")
+        code, _, err = run(capsys, "verify", "--suite", "bridge", "--seed", "7", *SMALL_MC)
         assert code == cli.EXIT_VALIDATION and "SPECEXP_THREADS" in err
 
 
@@ -437,7 +441,7 @@ def test_array_paths_load_numpy_on_demand():
         "import sys\n"
         "from specexp import cli, zeta\n"
         "print('numpy' in sys.modules)\n"
-        "code = cli.main(['verify', '--suite', 'bridge', '--fast'])\n"
+        f"code = cli.main(['verify', '--suite', 'bridge', *{SMALL_MC}])\n"
         "print(code, 'numpy' in sys.modules)\n"
         "print(zeta.ford_prefix_string(1000).zeta(2.0))\n"
     )
@@ -452,7 +456,7 @@ def test_verify_does_not_import_scipy_stats():
     script = (
         "import sys\n"
         "from specexp import cli\n"
-        "code = cli.main(['verify', '--suite', 'all', '--fast'])\n"
+        f"code = cli.main(['verify', '--suite', 'all', *{SMALL_MC}])\n"
         "print(code, sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
     )
     assert _fresh_python(script, timeout=300)[-1] == "0 []"
@@ -464,7 +468,7 @@ def test_verify_does_not_import_scipy(suite):
     script = (
         "import sys\n"
         "from specexp import cli\n"
-        f"code = cli.main(['verify', '--suite', '{suite}', '--fast'])\n"
+        f"code = cli.main(['verify', '--suite', '{suite}', *{SMALL_MC}])\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     assert _fresh_python(script, timeout=300)[-1] == "0 []"
@@ -496,7 +500,7 @@ class TestConfig:
         argv = ("pscc", "--string", "ford", "--geometry", "rw", "--family", "inflation",
                 "--t", "0.5", "--maxM", "2")
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("mode=heat\nfast=true\n")
+        cfgfile.write_text("mode=heat\ncheck_golden=true\n")
         code, out, _ = run(capsys, "--config", str(cfgfile), *argv)
         flag_code, flag_out, _ = run(capsys, *argv, "--mode", "heat")
         action_code, action_out, _ = run(capsys, *argv)
@@ -504,7 +508,7 @@ class TestConfig:
         assert out == flag_out and out != action_out
 
     @pytest.mark.parametrize(
-        "line", ["fast=yes", "check_golden=True", "reconcile=", "mode=bogus", "tolerance=1e-3",
+        "line", ["reconcile=yes", "check_golden=True", "reconcile=", "mode=bogus", "tolerance=1e-3",
                  "testfn=gaussian", "seed=-1", "seed=18446744073709551616"]
     )
     def test_bad_config_value_is_validation_error(self, capsys, tmp_path, line):

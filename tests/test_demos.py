@@ -10,10 +10,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# 02_bridge_moments.py is left out: its Monte Carlo part takes about 6 s,
-# and the moments it shows are checked in tests/test_bridge.py.
 @pytest.mark.parametrize(
-    "name", ["01_heat_coefficients.py", "03_ford_circles.py", "04_pscc_expansion.py"]
+    "name",
+    ["01_heat_coefficients.py", "02_bridge_moments.py", "03_ford_circles.py",
+     "04_pscc_expansion.py"],
 )
 def test_demo_runs(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

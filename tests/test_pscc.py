@@ -206,6 +206,15 @@ class TestSpectralAction:
             with pytest.raises(ValueError):
                 pscc.spectral_action(zt.FordString(), g, lam, 2, pscc.S4Geometry())
 
+    def test_real_pole_row_is_a_float(self):
+        # the sigma = 1 row is F(1) f_1 Res_1, real like the bulk rows
+        g = pscc.gaussian_test_function()
+        terms = pscc.spectral_action(zt.FordString(), g, 10.0, 2, pscc.S4Geometry())
+        (row,) = [t for t in terms if t.kind == "pole" and t.exponent == 1]
+        (pole,) = zt.string_poles(zt.FordString(), ((1, 1), (0, 0)))
+        product = pscc._s4_heat_transform(1 + 0j) * g(1 + 0j) * pole.residue
+        assert type(row.coeff) is float and row.coeff == product.real
+
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_lambda_must_be_finite(self, lam):
         g = pscc.gaussian_test_function()
@@ -542,21 +551,33 @@ class TestNonRound:
             assert [(-q.sigma, q.residue) for q in F.poles] == want
 
 
+def gamma_mellin(max_order):
+    """Mellin transform of exp(-u): Gamma, poles at -k with residues (-1)^k/k!."""
+    poles = tuple(
+        zt.PoleTerm(complex(-k, 0.0), complex((-1) ** k / math.factorial(k)))
+        for k in range(max_order + 1)
+    )
+    return pscc.MellinFunction(gamma_complex, poles)
+
+
 class TestSingularExpansion:
+    # the row core on its own: g(u) = sum over radii a of f(u/a), f(u) = exp(-u)
     def test_two_radius_exponential(self):
         # g(u) = e^-u + e^-(u/2): Taylor coefficients (-1)^N/N! (1 + 2^-N)
         string = zt.TruncatedString([(1, 1), (2, 1)])
-        terms = pscc.singular_expansion_combine(string, pscc.gamma_mellin(8))
-        for t in terms:
-            N = int(complex(t.exponent).real)
+        bulk, poles = pscc._singular_rows(string, gamma_mellin(8), None)
+        assert len(bulk) == 9 and poles == []
+        for alpha, c in bulk:
+            N = -int(alpha.real)
             want = (-1) ** N / math.factorial(N) * (1 + 2.0 ** (-N))
-            assert abs(float(t.coeff) - want) < 1e-12
+            assert abs(float(c) - want) < 1e-12
 
     def test_trivial_string_returns_own_expansion(self):
-        terms = pscc.singular_expansion_combine(unit_string(), pscc.gamma_mellin(6))
-        for t in terms:
-            N = int(complex(t.exponent).real)
-            assert abs(float(t.coeff) - (-1) ** N / math.factorial(N)) < 1e-14
+        bulk, poles = pscc._singular_rows(unit_string(), gamma_mellin(6), None)
+        assert len(bulk) == 7 and poles == []
+        for alpha, c in bulk:
+            N = -int(alpha.real)
+            assert abs(float(c) - (-1) ** N / math.factorial(N)) < 1e-14
 
     def test_gamma_pole_table_is_correct(self):
         # Gamma(z) ~ (-1)^k/k! / (z+k) near z = -k
@@ -568,25 +589,25 @@ class TestSingularExpansion:
     def test_pole_collision_detected(self):
         bad = zt.AnalyticString(lambda z: 1.0 + 0j, [zt.PoleTerm(-2.0 + 0j, 1.0 + 0j)])
         with pytest.raises(pscc.CollisionError):
-            pscc.singular_expansion_combine(bad, pscc.gamma_mellin(6))
+            pscc._singular_rows(bad, gamma_mellin(6), None)
 
     def test_collision_names_the_transform_pole(self):
         bad = zt.AnalyticString(lambda z: 1.0 + 0j, [zt.PoleTerm(-2.0 + 0j, 1.0 + 0j)])
-        named = pscc.MellinFunction(gamma_complex, pscc.gamma_mellin(3).poles,
+        named = pscc.MellinFunction(gamma_complex, gamma_mellin(3).poles,
                                     ("Gamma at 0", "Gamma at -1", "Gamma at -2", "Gamma at -3"))
         with pytest.raises(pscc.CollisionError, match=r"at -2\.0 collides with Gamma at -2$"):
-            pscc.singular_expansion_combine(bad, named)
+            pscc._singular_rows(bad, named, None)
         with pytest.raises(pscc.CollisionError, match=r"with the transform pole at \(-2\+0j\)$"):
-            pscc.singular_expansion_combine(bad, pscc.gamma_mellin(3))
+            pscc._singular_rows(bad, gamma_mellin(3), None)
         # one name per pole, or the poles past the last name would go unchecked
         with pytest.raises(ValueError, match="1 names for 4 poles"):
-            pscc.MellinFunction(gamma_complex, pscc.gamma_mellin(3).poles, ("Gamma at 0",))
+            pscc.MellinFunction(gamma_complex, gamma_mellin(3).poles, ("Gamma at 0",))
 
     def test_pole_outside_the_transform_pole_table(self):
         # gamma_mellin(0) lists only the pole at 0; Gamma also has one at -12,
         # where the Ford string has a pole
         with pytest.raises(pscc.CollisionError, match="outside its pole table") as info:
-            pscc.singular_expansion_combine(zt.FordString(), pscc.gamma_mellin(0))
+            pscc._singular_rows(zt.FordString(), gamma_mellin(0), None)
         assert isinstance(info.value.__cause__, ZeroDivisionError)
 
     def test_one_transform_value_per_conjugate_pair(self):
@@ -601,27 +622,28 @@ class TestSingularExpansion:
             asked.append(z)
             return gamma_complex(z)
 
-        mellin = pscc.MellinFunction(evaluator, pscc.gamma_mellin(4).poles)
-        terms = pscc.singular_expansion_combine(string, mellin)
+        mellin = pscc.MellinFunction(evaluator, gamma_mellin(4).poles)
+        bulk, poles = pscc._singular_rows(string, mellin, None)
         assert len(asked) == 1
-        rows = {t.provenance: t.coeff for t in terms if t.kind == "pole"}
+        rows = dict(poles)
         assert set(rows) == {sigma, sigma.conjugate()}
         assert rows[sigma.conjugate()] == rows[sigma].conjugate()
         for s, c in rows.items():
             want = gamma_complex(s) * string.pole_table[0 if s == sigma else 1].residue
             assert abs(c - want) <= 1e-14 * abs(want)
-        assert [t.kind for t in terms].count("bulk") == 5
+        assert len(bulk) == 5
 
 
 class TestScalingLaw:
     def test_rescale_uv_values(self):
-        assert pscc.rescale_uv(1, 1, 2) == (Fraction(1, 4), Fraction(1, 2))
-        assert pscc.rescale_uv(2.5, -3.0, 1) == (2.5, -3.0)
+        assert ex.rescale_uv(1, 1, 2) == (Fraction(1, 4), Fraction(1, 2))
+        assert ex.rescale_uv(2.5, -3.0, 1) == (2.5, -3.0)
 
     def test_symbolic_law_up_to_order_four(self):
         for r, m in ((ex.R_MAIN, 0), (ex.R_PLUS, 2), (ex.R_MINUS, 0)):
             for M in range(0, 5):
-                assert ex.verify_uv_scaling(r, m, M)
+                for t in ex.crm_direct(r, m, M):
+                    assert ex.term_scaling_exponent(t) == -(2 * r + m)
 
     def test_numeric_consistency(self):
         # scaling the scalars by a^exponent equals scaling (U, V) inputs
@@ -643,3 +665,17 @@ class TestSerialization:
         terms = pscc.round_heat_expansion(zt.FordString(), 2, pscc.S4Geometry())
         table = pscc.expansion_table(terms)
         assert "bulk" in table and "pole" in table
+
+    def test_sign_of_im_in_text_and_json(self):
+        # the heat rows keep each conjugate pair apart: one row per sign of Im
+        terms = pscc.round_heat_expansion(zt.FordString(), 2, pscc.S4Geometry())
+        lines = pscc.expansion_table(terms).splitlines()[1:]
+        rows = pscc.expansion_to_json(terms)
+        complex_rows = [(t, line, row) for t, line, row in zip(terms, lines, rows)
+                        if isinstance(t.coeff, complex) and t.coeff.imag]
+        signs = {math.copysign(1, t.coeff.imag) for t, _, _ in complex_rows}
+        assert len(complex_rows) == 50 and signs == {-1, 1}
+        for t, line, row in complex_rows:
+            c = complex(t.coeff)
+            assert line.split()[1] == f"{c.real:.6g}{c.imag:+.6g}i"
+            assert row["coeff"] == {"re": c.real, "im": c.imag}

@@ -11,7 +11,7 @@ from specexp import symcore as sc
 
 
 def B(h, c=1):
-    return sc.SymPoly.b_power(h, c)
+    return sc.SymPoly.monomial(sc.DerivMonomial(h), c)
 
 
 class TestRing:

@@ -437,6 +437,32 @@ class TestPoleTables:
         assert len(zeros) == 25
         assert abs(zeros[0] - 14.134725141734694) < 1e-12
 
+    def test_table_reach_is_the_26th_zero(self):
+        assert zt._TABLE_REACH == float(mp.zetazero(26).imag)
+        assert zt.zero_ordinates()[-1] < zt._TABLE_REACH
+
+    def test_default_strip_holds_the_whole_table(self):
+        # 1, the negative integers down to -12 and the 25 conjugate pairs
+        assert len(zt.string_poles(zt.FordString())) == 63
+
+    @pytest.mark.parametrize("im", [(-46.0, 50.0), (-100.0, 100.0), (-47.0, -46.5)])
+    def test_strip_past_the_table_raises(self, im):
+        with pytest.raises(zt.PoleError, match="past the bundled Ford poles"):
+            zt.string_poles(zt.FordString(), ((-1.5, 4.5), im))
+
+    def test_strip_past_the_table_off_the_critical_line(self):
+        # no pole 1/4 + i gamma/2 lies in the strip, so the table's reach
+        # does not matter
+        poles = zt.string_poles(zt.FordString(), ((0.5, 4.5), (-100.0, 100.0)))
+        assert [p.sigma for p in poles] == [1]
+
+    def test_round_heat_expansion_past_the_table_raises(self):
+        from specexp import pscc
+
+        with pytest.raises(zt.PoleError):
+            pscc.round_heat_expansion(zt.FordString(), 2, pscc.S4Geometry(),
+                                      ((-1.5, 4.5), (-100.0, 100.0)))
+
     def test_ford_pole_at_one(self):
         poles = zt.string_poles(zt.FordString(), ((0.9, 1.1), (-0.1, 0.1)))
         assert len(poles) == 1
@@ -589,12 +615,6 @@ class TestDiracZeta:
 
     def test_value_at_one(self):
         assert zt.dirac_zeta_s4_exact(1).rat == Fraction(2, 3)
-
-    def test_radius_scaling(self):
-        s = 1.3 + 0.4j
-        lhs = zt.dirac_zeta_s4(s, 2.5)
-        rhs = 2.5**s * zt.dirac_zeta_s4(s, 1.0)
-        assert abs(lhs - rhs) < 1e-12 * abs(rhs)
 
     def test_poles(self):
         for s in (2, 4):
